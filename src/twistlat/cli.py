@@ -28,7 +28,7 @@ from .bitgraph import (
     parse_vertex,
     vertex_str,
 )
-from .errors import InconclusiveError, InvalidInputError
+from .errors import DegenerateFormError, InconclusiveError, InvalidInputError
 from .lattice import (
     gram_matrix,
     lattice_to_json_dict,
@@ -220,9 +220,15 @@ def cmd_lattice(run: _Run, args) -> int:
         return EXIT_OK
     if which == "quotient":
         run.payload = lattice_to_json_dict(lat, q)
-        run.payload["symplectic_basis"] = [
-            list(r) for r in symplectic_basis(q)
-        ]
+        try:
+            run.payload["symplectic_basis"] = [
+                list(r) for r in symplectic_basis(q)
+            ]
+        except DegenerateFormError as exc:
+            # a fact about the form at this k, not a failure of the export
+            run.payload["symplectic_basis"] = None
+            run.payload["symplectic_basis_note"] = str(exc)
+            run.say(f"no symplectic basis: {exc}")
         run.payload["determinant"] = q.determinant()
         run.say(
             f"quotient rank {q.rank}, induced determinant {q.determinant()}"

@@ -47,16 +47,8 @@ def vec_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def mat_add(a, b) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b) -> IntMatrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_eq(a, b) -> bool:
-    return freeze(a) == freeze(b)
 
 
 def is_zero_vector(v: Sequence[int]) -> bool:

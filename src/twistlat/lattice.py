@@ -120,13 +120,15 @@ def quotient_lattice(lattice: SkewLattice) -> QuotientLattice:
     for i in range(n):
         col = tuple(g[t][i] for t in range(n))
         coords = la.hnf_coords(image_basis, col)
-        assert coords is not None, "column of G must lie in the image lattice"
+        if coords is None:
+            raise AssertionError("column of G must lie in the image lattice")
         class_map.append(coords)
     # Induced form via integral preimages w_a with G w_a = basis row a.
     preimages = []
     for row in image_basis:
         w = la.solve_int(g, row)
-        assert w is not None, "image basis row must be hit by G"
+        if w is None:
+            raise AssertionError("image basis row must be hit by G")
         preimages.append(w)
     induced = tuple(
         tuple(la.vec_dot(preimages[a], image_basis[b]) for b in range(r))

@@ -20,10 +20,11 @@ inserted curve's cyclic order is enumerated up to reversal, and one bit per
 pattern component is pinned to quotient out the mirror image.
 
 Every run is decomposed into top-level branches (decision-path prefixes
-collected at a fixed shallow depth).  Branches are searched independently
-and never share bounds, so verdicts, node counts and witnesses are
-identical for every ``threads`` value; branches are also the unit of
-checkpointing for ``cache_path``/``resume``.
+collected at the shallowest depth holding ``_BRANCH_TARGET`` of them, a
+depth that depends on the input alone).  Branches are searched
+independently and never share bounds, so verdicts, node counts and
+witnesses are identical for every ``threads`` value; branches are also the
+unit of checkpointing for ``cache_path``/``resume``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .patterns import (
     CurvePattern,
     Label,
     f2_genus_lower_bound,
-    pattern_from_json,
+    pattern_from_json,  # noqa: F401  perfbench/spans.py wraps it by __dict__ lookup
     pattern_to_json,
     require_valid,
     subpattern,
@@ -59,6 +60,9 @@ from .ribbon import (
 ENGINE_VERSION = 1
 CACHE_VERSION = 1
 _MAX_COLLECT_DEPTH = 18
+# branches wanted per run; a constant, so the split is the same at every
+# thread count
+_BRANCH_TARGET = 16
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,16 @@ class SearchConfig:
     cache_path: Optional[str] = None
     resume: bool = False
     fixed: Optional[RibbonStructure] = None  # pinned partial structure
-    branch_target: int = 16
 
 
 @dataclass(frozen=True)
-class MinGenusResult:
-    """Outcome of an exact minimal-genus computation."""
+class SearchResult:
+    """Outcome of `min_genus` (an exact minimum) or `is_realizable` (a
+    first witness within the budget), or a certified Exceeds(budget)."""
 
-    kind: str  # "exact" | "exceeds"
+    kind: str  # "exact" | "realizable" | "exceeds"
     budget: int
-    genus: Optional[int]
+    genus: Optional[int]  # the witness's genus; None on "exceeds"
     witness: Optional[RibbonStructure]
     nodes_explored: int
     exhausted: bool
@@ -90,8 +94,12 @@ class MinGenusResult:
     def __post_init__(self):
         if self.kind == "exceeds" and not self.exhausted:
             raise AssertionError("Exceeds verdicts require exhaustion")
-        if self.kind not in ("exact", "exceeds"):
+        if self.kind not in ("exact", "realizable", "exceeds"):
             raise AssertionError(f"unknown verdict kind {self.kind!r}")
+
+    @property
+    def realizable(self) -> bool:
+        return self.kind != "exceeds"
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,18 +114,6 @@ class MinGenusResult:
             "wall_time_s": round(self.wall_time_s, 3),
             "note": self.note,
         }
-
-
-@dataclass(frozen=True)
-class RealizeResult:
-    """Outcome of a realizability (genus-budget feasibility) query."""
-
-    realizable: bool
-    genus_budget: int
-    witness: Optional[RibbonStructure]
-    nodes_explored: int
-    exhausted: bool
-    wall_time_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -360,54 +356,9 @@ class _Engine:
                 parent[ra] = rb
         ncomp = len({find(t) for t in range(nv)})
         g2 = 2 * ncomp - faces - nv + ne
-        assert g2 % 2 == 0 and g2 >= 0, "inconsistent trace"
+        if g2 % 2 or g2 < 0:
+            raise AssertionError("inconsistent trace")
         return g2 // 2
-
-    def component_surfaces(self) -> tuple[tuple[int, int, int], ...]:
-        nv = len(self.cross)
-        link = self.link
-        linked = [d for d in range(4 * nv) if link[d] != -1]
-        parent = list(range(nv))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for d in linked:
-            ra, rb = find(d // 4), find(link[d] // 4)
-            if ra != rb:
-                parent[ra] = rb
-        comp_ids = sorted({find(t) for t in range(nv)})
-        pos = {c: i for i, c in enumerate(comp_ids)}
-        nvc = [0] * len(comp_ids)
-        nec = [0] * len(comp_ids)
-        nfc = [0] * len(comp_ids)
-        for t in range(nv):
-            nvc[pos[find(t)]] += 1
-        for d in linked:
-            if d < link[d]:
-                nec[pos[find(d // 4)]] += 1
-        seen = set()
-        for d0 in linked:
-            if d0 in seen:
-                continue
-            nfc[pos[find(d0 // 4)]] += 1
-            d = d0
-            while True:
-                seen.add(d)
-                d = self._sigma(link[d])
-                if d == d0:
-                    break
-        out = []
-        for i in range(len(comp_ids)):
-            chi = nvc[i] - nec[i]
-            b = nfc[i]
-            g2 = 2 - chi - b
-            assert g2 % 2 == 0 and g2 >= 0
-            out.append((chi, b, g2 // 2))
-        return tuple(out)
 
     # -- external structure extraction / loading -------------------------------
 
@@ -442,7 +393,8 @@ class _Engine:
                 x, out_slot = start, first_slot
                 while True:
                     d = self.link[self._dart(x, self._side_of(x, ci), out_slot)]
-                    assert d != -1, "open strand in a finished structure"
+                    if d == -1:
+                        raise AssertionError("open strand in a finished structure")
                     nx, ns = d // 4, d % 2
                     arrival[nx] = ns
                     if nx == start:
@@ -645,7 +597,8 @@ class _Engine:
             return
         witness = self.extract_structure()
         traced = surface_of(self.p, witness)
-        assert traced.total_genus == g, "internal/external trace mismatch"
+        if traced.total_genus != g:
+            raise AssertionError("internal/external trace mismatch")
         if self.first_hit:
             if self.hit is None:
                 self.hit = (g, witness)
@@ -673,34 +626,9 @@ def _resolve_order(p: CurvePattern, order) -> list[Label]:
     return labs
 
 
-def _engine_args(p, order_labels, budget, first_hit, fixed, cap, stop_genus=None):
-    return {
-        "pattern": pattern_to_json(p),
-        "order": list(order_labels),
-        "budget": budget,
-        "first_hit": first_hit,
-        "fixed": json.dumps(structure_to_json_dict(fixed)) if fixed else None,
-        "node_cap": cap,
-        "stop_genus": stop_genus,
-    }
-
-
-def _build_engine(args: dict) -> _Engine:
-    fixed = structure_from_json(args["fixed"]) if args["fixed"] else None
-    return _Engine(
-        pattern_from_json(args["pattern"]),
-        args["order"],
-        args["budget"],
-        fixed=fixed,
-        first_hit=args["first_hit"],
-        node_cap=args["node_cap"],
-        stop_genus=args.get("stop_genus"),
-    )
-
-
 def _branch_worker(payload: tuple[dict, tuple[int, ...]]) -> dict:
-    args, path = payload
-    eng = _build_engine(args)
+    spec, path = payload
+    eng = _Engine(**spec)
     eng.run(prefix=path)
     out = {
         "path": list(path),
@@ -772,7 +700,17 @@ def _run_pattern(
     it the minimum is certified without exhausting the tree.
     """
     order_labels = _resolve_order(p, config.order)
-    target = max(config.branch_target, 4 * max(1, config.threads))
+    # the engine lays out a pinned curve's arcs from the first entry of its
+    # cyclic order, so pin the canonical rotation
+    fixed = config.fixed.canonical() if config.fixed is not None else None
+    spec = dict(
+        pattern=p,
+        order=order_labels,
+        budget=budget,
+        fixed=fixed,
+        first_hit=first_hit,
+        stop_genus=stop_genus,
+    )
 
     def reached_stop(genus: Optional[int]) -> bool:
         return (
@@ -782,30 +720,21 @@ def _run_pattern(
             and genus <= stop_genus
         )
 
-    # choose the branch depth: smallest depth holding >= target branches
-    chosen_depth = 1
+    # choose the branch depth: smallest depth holding >= _BRANCH_TARGET
+    # branches; the collection at that depth is the one whose work counts
     for depth in range(1, _MAX_COLLECT_DEPTH + 1):
-        eng = _build_engine(
-            _engine_args(
-                p, order_labels, budget, first_hit, config.fixed, None, stop_genus
-            )
-        )
-        paths = eng.run(collect_depth=depth)
-        chosen_depth = depth
-        if len(paths) >= target or not paths:
+        collector = _Engine(**spec)
+        branches = collector.run(collect_depth=depth)
+        if len(branches) >= _BRANCH_TARGET or not branches:
             break
 
     cap = config.node_cap
-    # final collection (the only one whose work is counted)
-    collector = _build_engine(
-        _engine_args(
-            p, order_labels, budget, first_hit, config.fixed, cap, stop_genus
+    if cap is not None and collector.nodes > cap:
+        # the count at which a capped engine raises: the first node past the cap
+        raise InconclusiveError(
+            f"node cap {cap} exceeded before exhaustion", nodes_explored=cap + 1
         )
-    )
-    branches = collector.run(collect_depth=chosen_depth)
     nodes = collector.nodes
-    shallow_best = (collector.best_genus, collector.best_witness)
-    shallow_hit = collector.hit
 
     key_payload = {
         "engine": ENGINE_VERSION,
@@ -813,8 +742,8 @@ def _run_pattern(
         "budget": budget,
         "order": list(order_labels),
         "first_hit": first_hit,
-        "fixed": structure_to_json_dict(config.fixed) if config.fixed else None,
-        "depth": chosen_depth,
+        "fixed": structure_to_json_dict(fixed) if fixed else None,
+        "depth": depth,
         "stop": stop_genus,
     }
     key = hashlib.sha256(
@@ -825,12 +754,10 @@ def _run_pattern(
     per_branch_cap = None
     if cap is not None:
         per_branch_cap = max(1, cap // max(1, len(branches)))
-    args = _engine_args(
-        p, order_labels, budget, first_hit, config.fixed, per_branch_cap, stop_genus
-    )
+    spec["node_cap"] = per_branch_cap
 
-    best_genus, best_witness = shallow_best
-    hit = shallow_hit
+    best_genus, best_witness = collector.best_genus, collector.best_witness
+    hit = collector.hit
     inconclusive: Optional[InconclusiveError] = None
     stopped_early = reached_stop(best_genus) or (first_hit and hit is not None)
 
@@ -855,9 +782,9 @@ def _run_pattern(
         pool = None
         if config.threads > 1 and pending:
             pool = multiprocessing.Pool(config.threads)
-            fresh = pool.imap(_branch_worker, [(args, path) for path in pending])
+            fresh = pool.imap(_branch_worker, [(spec, path) for path in pending])
         else:
-            fresh = (_branch_worker((args, path)) for path in pending)
+            fresh = (_branch_worker((spec, path)) for path in pending)
         try:
             for path in branches:
                 res = results.get(path)
@@ -923,7 +850,7 @@ def min_genus(
     p: CurvePattern,
     budget: Optional[int] = None,
     config: SearchConfig = SearchConfig(),
-) -> MinGenusResult:
+) -> SearchResult:
     """Exact minimum of total neighborhood genus over all ribbon structures,
     or a certified Exceeds(budget) verdict after exhausting the pruned tree."""
     require_valid(p)
@@ -935,7 +862,7 @@ def min_genus(
 
     lb = f2_genus_lower_bound(p)
     if budget < lb:
-        return MinGenusResult(
+        return SearchResult(
             kind="exceeds",
             budget=budget,
             genus=None,
@@ -967,7 +894,7 @@ def min_genus(
         # exact minima, later ones at least their homology bounds
         sub_budget = budget - total_genus_val - sum(lbs[ci + 1 :])
         if sub_budget < lbs[ci]:
-            return MinGenusResult(
+            return SearchResult(
                 kind="exceeds",
                 budget=budget,
                 genus=None,
@@ -985,7 +912,7 @@ def min_genus(
         if agg.get("stopped_at_bound"):
             notes.append("reached the homology lower bound")
         if agg["best_genus"] is None:
-            return MinGenusResult(
+            return SearchResult(
                 kind="exceeds",
                 budget=budget,
                 genus=None,
@@ -999,7 +926,7 @@ def min_genus(
         witnesses.append(agg["best_witness"])
 
     if total_genus_val > budget:
-        return MinGenusResult(
+        return SearchResult(
             kind="exceeds",
             budget=budget,
             genus=None,
@@ -1011,7 +938,7 @@ def min_genus(
         )
 
     witness = _merge_witnesses(p, witnesses) if witnesses else None
-    return MinGenusResult(
+    return SearchResult(
         kind="exact",
         budget=budget,
         genus=total_genus_val,
@@ -1040,42 +967,28 @@ def is_realizable(
     p: CurvePattern,
     genus: int,
     config: SearchConfig = SearchConfig(),
-) -> RealizeResult:
+) -> SearchResult:
     """Whether some ribbon structure has total genus <= genus; stops at the
     first witness found."""
     require_valid(p)
-    t0 = time.time()
     if genus < 0:
         raise InvalidInputError("genus must be nonnegative")
-    lb = f2_genus_lower_bound(p)
-    if genus < lb:
-        return RealizeResult(
-            realizable=False,
-            genus_budget=genus,
-            witness=None,
-            nodes_explored=0,
-            exhausted=True,
-            wall_time_s=time.time() - t0,
-        )
-    comps = list(p.components())
-    if config.fixed is not None or len(comps) == 1:
-        agg = _run_pattern(p, genus, config, first_hit=True)
-        hit = agg["hit"]
-        return RealizeResult(
-            realizable=hit is not None,
-            genus_budget=genus,
-            witness=hit[1] if hit else None,
-            nodes_explored=agg["nodes"],
-            exhausted=agg["exhausted"],
-            wall_time_s=time.time() - t0,
-        )
-    # disconnected: realize each component at its exact minimum
-    res = min_genus(p, genus, config)
-    return RealizeResult(
-        realizable=res.kind == "exact",
-        genus_budget=genus,
-        witness=res.witness,
-        nodes_explored=res.nodes_explored,
-        exhausted=res.exhausted,
+    if genus < f2_genus_lower_bound(p) or (
+        config.fixed is None and len(p.components()) > 1
+    ):
+        # below the bound nothing runs; a disconnected pattern is realized
+        # with each component at its exact minimum
+        return min_genus(p, genus, config)
+    t0 = time.time()
+    agg = _run_pattern(p, genus, config, first_hit=True)
+    hit = agg["hit"]
+    return SearchResult(
+        kind="realizable" if hit else "exceeds",
+        budget=genus,
+        genus=hit[0] if hit else None,
+        witness=hit[1] if hit else None,
+        nodes_explored=agg["nodes"],
+        exhausted=agg["exhausted"],
         wall_time_s=time.time() - t0,
+        note="" if hit else "exhausted without any structure within budget",
     )

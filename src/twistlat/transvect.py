@@ -13,7 +13,6 @@ closure, and the mod-2 non-degeneracy of the alternating chain sum.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -80,7 +79,8 @@ def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
         tuple((1 if r == c else 0) + sign * a[r] * u[c] for c in range(n))
         for r in range(n)
     )
-    assert preserves_form(entries, q.induced_gram)
+    if not preserves_form(entries, q.induced_gram):
+        raise AssertionError(f"transvection of {vertex_str(v)} breaks the form")
     return SpMatrix(entries, word=(tuple(v),))
 
 
@@ -293,6 +293,16 @@ def _mask(vec: Sequence[int]) -> int:
     return m
 
 
+def _pairing_mod2(gram_mod2: Sequence[int], x: int, y: int) -> int:
+    """<x, y> mod 2 for coordinate masks x, y and the form's row masks."""
+    acc = 0
+    while y:
+        b = y & -y
+        acc ^= (gram_mod2[b.bit_length() - 1] & x).bit_count() & 1
+        y ^= b
+    return acc
+
+
 @dataclass(frozen=True)
 class QuadraticRefinement:
     """q: (Z/2)^r -> Z/2 with q(x+y) = q(x) + q(y) + <x,y> and q = 1 on every
@@ -307,13 +317,7 @@ class QuadraticRefinement:
         return self.table[_mask(vec)]
 
     def pairing_mod2(self, x: int, y: int) -> int:
-        acc = 0
-        yy = y
-        while yy:
-            b = yy & -yy
-            acc ^= (self.gram_mod2[b.bit_length() - 1] & x).bit_count() & 1
-            yy ^= b
-        return acc
+        return _pairing_mod2(self.gram_mod2, x, y)
 
 
 def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
@@ -323,15 +327,6 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
     r = q.rank
     gram2 = tuple(_mask(row) for row in q.induced_gram)
     classes = [_mask(c) for c in q.class_map]
-
-    def b2(x: int, y: int) -> int:
-        acc = 0
-        yy = y
-        while yy:
-            b = yy & -yy
-            acc ^= (gram2[b.bit_length() - 1] & x).bit_count() & 1
-            yy ^= b
-        return acc
 
     # Greedy F_2 basis among the classes (vertex order), with combination
     # tracking so any vector decomposes over the chosen basis.
@@ -357,7 +352,8 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
             if v & (evec & -evec):
                 v ^= evec
                 combo ^= ecombo
-        assert v == 0
+        if v:
+            raise AssertionError("vector outside the span of the F_2 basis")
         return combo
 
     table = [0] * (1 << r)
@@ -367,7 +363,7 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
         val = len(members) & 1  # q = 1 on each basis class
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                val ^= b2(members[i], members[j])
+                val ^= _pairing_mod2(gram2, members[i], members[j])
         table[m] = val
     refinement = QuadraticRefinement(rank=r, table=tuple(table), gram_mod2=gram2)
     for v, c in zip(_vertices(q), classes):
@@ -524,7 +520,3 @@ def rep_to_json_dict(q: QuotientLattice, g: ArtinGraph, sign: int = 1) -> dict:
         },
         "quadratic_refinement": list(ref.table),
     }
-
-
-def rep_to_json(q: QuotientLattice, g: ArtinGraph, sign: int = 1) -> str:
-    return json.dumps(rep_to_json_dict(q, g, sign), sort_keys=True)

@@ -45,6 +45,15 @@ def test_lattice_quotient(capsys):
     assert len(data["radical_basis"]) == 6
 
 
+def test_lattice_quotient_degenerate_form(capsys):
+    # at k=3 the induced form is not unimodular: no symplectic basis exists
+    code, data = run_json(capsys, "lattice", "quotient", "--k", "3")
+    assert code == 0
+    assert data["symplectic_basis"] is None
+    assert "unimodular" in data["symplectic_basis_note"]
+    assert abs(data["determinant"]) != 1
+
+
 def test_lattice_rank_subsets(capsys):
     code, data = run_json(capsys, "lattice", "rank", "--k", "4")
     assert code == 0 and data["rank"] == 10

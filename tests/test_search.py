@@ -1,8 +1,14 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import twistlat
 from twistlat import (
     InconclusiveError,
     InvalidInputError,
@@ -131,12 +137,57 @@ def test_node_cap_raises_inconclusive():
     assert err.value.nodes_explored > 0
 
 
-def test_thread_count_does_not_change_outcome():
-    p = load_pattern("cycle8")
-    r1 = min_genus(p, budget=4, config=SearchConfig(threads=1))
-    r2 = min_genus(p, budget=4, config=SearchConfig(threads=2))
-    assert (r1.kind, r1.genus, r1.nodes_explored) == (r2.kind, r2.genus, r2.nodes_explored)
-    assert r1.witness == r2.witness
+_THREAD_CASES = {
+    "cycle8 min-genus 4": lambda cfg: min_genus(load_pattern("cycle8"), 4, cfg),
+    "curves12 check 5": lambda cfg: is_realizable(load_pattern("curves12"), 5, cfg),
+    "curves10 min-genus": lambda cfg: min_genus(load_pattern("curves10"), config=cfg),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _thread_outcome(case, threads):
+    r = _THREAD_CASES[case](SearchConfig(threads=threads))
+    return (r.kind, r.genus, r.nodes_explored, r.exhausted, r.note, r.witness)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5, 8])
+def test_thread_count_does_not_change_outcome(threads):
+    # thread counts on both sides of 4: the split must not follow them
+    for case in _THREAD_CASES:
+        assert _thread_outcome(case, threads) == _thread_outcome(case, 1), case
+
+
+def test_certificate_checks_survive_python_O():
+    """The leaf's internal/external trace match still raises under -O."""
+    code = textwrap.dedent(
+        """
+        import types
+        from twistlat import make_pattern, min_genus, search
+
+        assert False, "assert statements must be stripped"
+        search.surface_of = lambda p, r: types.SimpleNamespace(total_genus=-1)
+        try:
+            r = min_genus(make_pattern(["x", "y"], [("x", "y")]), budget=5)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("returned:", r.kind, r.genus)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(twistlat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised: internal/external trace mismatch"
 
 
 def test_thread_count_invariance_on_exhaustion_run():
