@@ -108,7 +108,8 @@ class ArtinGraph:
     def __repr__(self) -> str:
         return f"ArtinGraph(k={self.k}, vertices={len(self.vertices)}, edges={len(self.edges)})"
 
-    def _check_vertex(self, v: Vertex) -> int:
+    def vertex_index(self, v: Vertex) -> int:
+        """Position of v in `vertices`; InvalidInputError if v is not one."""
         i = self.index.get(tuple(v))
         if i is None:
             raise InvalidInputError(f"not a vertex of the k={self.k} graph: {v!r}")
@@ -117,7 +118,7 @@ class ArtinGraph:
     def is_edge(self, u: Vertex, v: Vertex, rule: str = "comparability") -> bool:
         """Adjacency test; `rule` selects between the two equivalent
         formulations ("comparability" or "sign-pairs")."""
-        i, j = self._check_vertex(u), self._check_vertex(v)
+        i, j = self.vertex_index(u), self.vertex_index(v)
         if i == j:
             return False
         if rule == "comparability":
@@ -127,11 +128,11 @@ class ArtinGraph:
         raise InvalidInputError(f"unknown edge rule {rule!r}")
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        i = self._check_vertex(v)
+        i = self.vertex_index(v)
         return tuple(self.vertices[j] for j in sorted(self._adj[i]))
 
     def degree(self, v: Vertex) -> int:
-        return len(self._adj[self._check_vertex(v)])
+        return len(self._adj[self.vertex_index(v)])
 
     def extremal_vertices(self) -> tuple[Vertex, ...]:
         """Vertices adjacent to every other vertex."""
@@ -139,14 +140,14 @@ class ArtinGraph:
         return tuple(v for v in self.vertices if len(self._adj[self.index[v]]) == full)
 
     def is_extremal(self, v: Vertex) -> bool:
-        return len(self._adj[self._check_vertex(v)]) == len(self.vertices) - 1
+        return len(self._adj[self.vertex_index(v)]) == len(self.vertices) - 1
 
     # -- chains, cycles, paths ------------------------------------------------
 
     def verify_chain(self, seq: Sequence[Vertex]) -> ChainReport:
         """Check that consecutive vertices are adjacent, non-consecutive ones
         are not, and no vertex repeats.  Violations are reported, not raised."""
-        idx = [self._check_vertex(v) for v in seq]
+        idx = [self.vertex_index(v) for v in seq]
         violations: list[tuple[tuple[int, int], str]] = []
         seen: dict[int, int] = {}
         for pos, i in enumerate(idx):
@@ -170,7 +171,7 @@ class ArtinGraph:
     def verify_induced_cycle(self, seq: Sequence[Vertex]) -> bool:
         """True iff the sequence is an induced cycle: cyclically consecutive
         pairs are edges and every other pair is a non-edge."""
-        idx = [self._check_vertex(v) for v in seq]
+        idx = [self.vertex_index(v) for v in seq]
         if len(idx) < 3:
             raise InvalidInputError("an induced cycle needs at least 3 vertices")
         if len(set(idx)) != len(idx):
@@ -236,9 +237,8 @@ class ArtinGraph:
     ) -> Optional[int]:
         """Smallest 1-based chain position i (from `positions`) whose vertex
         commutes with v, i.e. is a non-edge partner of v or v itself."""
-        self._check_vertex(v)
-        idx = [self._check_vertex(u) for u in chain]
-        vi = self.index[tuple(v)]
+        vi = self.vertex_index(v)
+        idx = [self.vertex_index(u) for u in chain]
         for i in sorted(positions):
             if not 1 <= i <= len(idx):
                 raise InvalidInputError(f"chain position {i} out of range")

@@ -242,7 +242,7 @@ def cmd_lattice(run: _Run, args) -> int:
             verts = [v for v in g.vertices if not g.is_extremal(v)]
         else:
             verts = list(g.vertices)
-        idx = [g.index[v] for v in verts]
+        idx = [g.vertex_index(v) for v in verts]
         r = sublattice_rank(q, idx)
         run.payload = {
             "subset": [vertex_str(v) for v in verts],
@@ -290,8 +290,7 @@ def cmd_rep_check_relations(run: _Run, args) -> int:
 def cmd_rep_witnesses(run: _Run, args) -> int:
     g = build_gamma(args.k)
     q = quotient_lattice(gram_matrix(args.k))
-    sign = int(args.sign) if args.sign != "both" else 1
-    words = conjugacy_witnesses(q, g, sign=sign)
+    words = conjugacy_witnesses(q, g, sign=int(args.sign))
     run.payload = {
         "witnesses": {
             vertex_str(v): [vertex_str(u) for u in w] for v, w in words.items()
@@ -338,7 +337,7 @@ def cmd_rep_irreducible(run: _Run, args) -> int:
     dims = {}
     ok = True
     for v in seeds:
-        d = invariant_span_closure(q, [q.class_map[g.index[v]]])
+        d = invariant_span_closure(q, [q.class_map[g.vertex_index(v)]])
         dims[vertex_str(v)] = d
         ok = ok and d == q.rank
     run.payload = {"closure_dims": dims, "rank": q.rank}
@@ -364,8 +363,7 @@ def cmd_rep_parity(run: _Run, args) -> int:
 def cmd_rep_export(run: _Run, args) -> int:
     g = build_gamma(args.k)
     q = quotient_lattice(gram_matrix(args.k))
-    sign = int(args.sign) if args.sign != "both" else 1
-    run.payload = rep_to_json_dict(q, g, sign)
+    run.payload = rep_to_json_dict(q, g, int(args.sign))
     run.say("representation data exported (use --json to capture)")
     return EXIT_OK
 

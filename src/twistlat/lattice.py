@@ -81,9 +81,6 @@ class QuotientLattice:
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
         return la.vec_dot(x, la.mat_vec(self.induced_gram, y))
 
-    def class_of(self, i: int) -> la.IntVector:
-        return self.class_map[i]
-
     def determinant(self) -> int:
         return la.det(self.induced_gram)
 
@@ -177,7 +174,7 @@ def sublattice_rank(q: QuotientLattice, subset: Sequence[int]) -> int:
     return la.rank([q.class_map[i] for i in subset])
 
 
-def symplectic_basis(q_or_gram, rank_hint: int | None = None) -> la.IntMatrix:
+def symplectic_basis(q_or_gram) -> la.IntMatrix:
     """Integral change of basis putting a unimodular skew form into the
     standard block form with 2x2 blocks [[0,1],[-1,0]].
 

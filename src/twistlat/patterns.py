@@ -184,10 +184,10 @@ def pattern_to_json(p: CurvePattern) -> str:
 
 
 def pattern_from_json(payload: str | dict) -> CurvePattern:
-    data = json.loads(payload) if isinstance(payload, str) else payload
     try:
+        data = json.loads(payload) if isinstance(payload, str) else payload
         curves = data["curves"]
         pairs = data["intersections"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"malformed pattern JSON: {exc}") from None
     return make_pattern(curves, pairs)

@@ -33,12 +33,6 @@ class RibbonStructure:
     visit_orders: tuple[tuple[Label, tuple[Label, ...]], ...]
     crossing_bits: tuple[tuple[Label, Label, int], ...]
 
-    def order_of(self, label: Label) -> tuple[Label, ...]:
-        for lab, order in self.visit_orders:
-            if lab == label:
-                return order
-        raise InvalidInputError(f"no visit order for curve {label!r}")
-
     def bits(self) -> dict[tuple[Label, Label], int]:
         return {tuple(sorted((a, b))): bit for a, b, bit in self.crossing_bits}
 
@@ -299,8 +293,8 @@ def structure_to_json(r: RibbonStructure) -> str:
 
 
 def structure_from_json(payload: str | dict) -> RibbonStructure:
-    data = json.loads(payload) if isinstance(payload, str) else payload
     try:
+        data = json.loads(payload) if isinstance(payload, str) else payload
         orders = {lab: tuple(seq) for lab, seq in data["visit_orders"].items()}
         bits = [(a, b, int(v)) for a, b, v in data["crossing_bits"]]
     except (KeyError, TypeError, ValueError) as exc:

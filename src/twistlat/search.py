@@ -10,7 +10,10 @@ a valid lower bound and branches exceeding the budget (or the best leaf so
 far) are pruned.  "Exceeds" verdicts are issued only after the pruned tree
 is exhausted (or when the budget is already below the homology bound);
 exact minima are certified early once some structure reaches the homology
-bound, since nothing can lie below it.
+bound, since nothing can lie below it.  There is one search mode: it stops
+once a structure has genus <= a stop genus.  `min_genus` stops at the
+homology bound; `is_realizable(p, g)` is the same search stopped at g, so
+it ends at the first structure within the budget.
 
 The internal state is orientation-free: rotations live on slot pairs
 created in insertion order, so the per-curve orientation redundancy of the
@@ -58,11 +61,18 @@ from .ribbon import (
 )
 
 ENGINE_VERSION = 1
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _MAX_COLLECT_DEPTH = 18
 # branches wanted per run; a constant, so the split is the same at every
 # thread count
 _BRANCH_TARGET = 16
+# set only in pool workers (`_init_worker`); the parent raises it to halt
+# the branches they are still running
+_halt = None
+
+
+class _Halted(Exception):
+    """A pool worker's branch was abandoned after the search stopped."""
 
 
 @dataclass(frozen=True)
@@ -135,16 +145,14 @@ class _Engine:
         pattern: CurvePattern,
         order: Sequence[Label],
         budget: int,
+        stop_genus: int,
         fixed: Optional[RibbonStructure] = None,
-        first_hit: bool = False,
         node_cap: Optional[int] = None,
-        stop_genus: Optional[int] = None,
     ):
         self.p = pattern
         self.budget = budget
-        self.first_hit = first_hit
         self.node_cap = node_cap
-        self.stop_genus = stop_genus  # a proven lower bound: stop on reaching it
+        self.stop_genus = stop_genus  # stop once a structure has genus <= it
         self.order = [pattern.index(lab) for lab in order]
         if sorted(self.order) != list(range(len(pattern.curves))):
             raise InvalidInputError("insertion order must cover every curve once")
@@ -184,7 +192,6 @@ class _Engine:
         # results
         self.best_genus: Optional[int] = None
         self.best_witness: Optional[RibbonStructure] = None
-        self.hit: Optional[tuple[int, RibbonStructure]] = None
 
         # mode
         self._prefix: tuple[int, ...] = ()
@@ -472,18 +479,12 @@ class _Engine:
         return self._collected
 
     def _cutoff(self) -> int:
-        if self.first_hit or self.best_genus is None:
+        if self.best_genus is None:
             return self.budget
         return min(self.budget, self.best_genus - 1)
 
     def _stopped(self) -> bool:
-        if self.first_hit:
-            return self.hit is not None
-        return (
-            self.stop_genus is not None
-            and self.best_genus is not None
-            and self.best_genus <= self.stop_genus
-        )
+        return self.best_genus is not None and self.best_genus <= self.stop_genus
 
     def _check_cap(self) -> None:
         if self.node_cap is not None and self.nodes > self.node_cap:
@@ -491,6 +492,8 @@ class _Engine:
                 f"node cap {self.node_cap} exceeded before exhaustion",
                 nodes_explored=self.nodes,
             )
+        if _halt is not None and _halt.value:
+            raise _Halted()
 
     def _decision(self, options: int):
         """Yield option indices for the current decision point, handling
@@ -599,10 +602,6 @@ class _Engine:
         traced = surface_of(self.p, witness)
         if traced.total_genus != g:
             raise AssertionError("internal/external trace mismatch")
-        if self.first_hit:
-            if self.hit is None:
-                self.hit = (g, witness)
-            return
         if self.best_genus is None or g < self.best_genus:
             self.best_genus = g
             self.best_witness = witness
@@ -626,25 +625,25 @@ def _resolve_order(p: CurvePattern, order) -> list[Label]:
     return labs
 
 
-def _branch_worker(payload: tuple[dict, tuple[int, ...]]) -> dict:
+def _init_worker(halt) -> None:
+    global _halt
+    _halt = halt
+
+
+# one branch's outcome: (nodes, best genus, best witness)
+_BranchResult = tuple[int, Optional[int], Optional[RibbonStructure]]
+
+
+def _branch_worker(payload: tuple[dict, tuple[int, ...]]) -> _BranchResult:
     spec, path = payload
     eng = _Engine(**spec)
     eng.run(prefix=path)
-    out = {
-        "path": list(path),
-        "nodes": eng.nodes,
-        "best_genus": eng.best_genus,
-        "best_witness": (
-            structure_to_json_dict(eng.best_witness) if eng.best_witness else None
-        ),
-        "hit_genus": eng.hit[0] if eng.hit else None,
-        "hit_witness": structure_to_json_dict(eng.hit[1]) if eng.hit else None,
-    }
-    return out
+    return eng.nodes, eng.best_genus, eng.best_witness
 
 
 class _Cache:
-    """Versioned JSON checkpoint of completed branch results."""
+    """Versioned JSON checkpoint of completed branch results; the only
+    place a branch result is converted to or from JSON."""
 
     def __init__(self, path: Optional[str], key: str, resume: bool):
         self.path = path
@@ -654,16 +653,35 @@ class _Cache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-                if data.get("version") == CACHE_VERSION and data.get("key") == key:
-                    self.results = data.get("branches", {})
             except (OSError, json.JSONDecodeError):
-                self.results = {}
+                data = None
+            # another version, another key or a malformed file is ignored
+            if (
+                isinstance(data, dict)
+                and data.get("version") == CACHE_VERSION
+                and data.get("key") == key
+                and isinstance(data.get("branches"), dict)
+            ):
+                self.results = data["branches"]
 
-    def get(self, path: tuple[int, ...]) -> Optional[dict]:
-        return self.results.get(repr(list(path)))
+    def get(self, path: tuple[int, ...]) -> Optional[_BranchResult]:
+        res = self.results.get(repr(list(path)))
+        if res is None:
+            return None
+        witness = res["best_witness"]
+        return (
+            res["nodes"],
+            res["best_genus"],
+            structure_from_json(witness) if witness is not None else None,
+        )
 
-    def put(self, path: tuple[int, ...], result: dict) -> None:
-        self.results[repr(list(path))] = result
+    def put(self, path: tuple[int, ...], result: _BranchResult) -> None:
+        nodes, genus, witness = result
+        self.results[repr(list(path))] = {
+            "nodes": nodes,
+            "best_genus": genus,
+            "best_witness": structure_to_json_dict(witness) if witness else None,
+        }
         self._flush()
 
     def _flush(self) -> None:
@@ -690,14 +708,16 @@ def _run_pattern(
     p: CurvePattern,
     budget: int,
     config: SearchConfig,
-    first_hit: bool,
-    stop_genus: Optional[int] = None,
-) -> dict:
+    stop_genus: int,
+) -> tuple[Optional[int], Optional[RibbonStructure], int, bool]:
     """Branch-decomposed search of one pattern; deterministic across
-    thread counts.  Returns aggregate dict.
+    thread counts.  Returns (genus, witness, nodes, exhausted) for the
+    least genus found within ``budget`` (None, None if there is none).
 
-    ``stop_genus`` is a *proven* lower bound: once some structure reaches
-    it the minimum is certified without exhausting the tree.
+    The search stops once some structure has genus <= ``stop_genus``: a
+    proven lower bound there certifies a minimum without exhausting the
+    tree, and ``stop_genus = budget`` stops at the first structure within
+    the budget.
     """
     order_labels = _resolve_order(p, config.order)
     # the engine lays out a pinned curve's arcs from the first entry of its
@@ -708,17 +728,11 @@ def _run_pattern(
         order=order_labels,
         budget=budget,
         fixed=fixed,
-        first_hit=first_hit,
         stop_genus=stop_genus,
     )
 
     def reached_stop(genus: Optional[int]) -> bool:
-        return (
-            not first_hit
-            and stop_genus is not None
-            and genus is not None
-            and genus <= stop_genus
-        )
+        return genus is not None and genus <= stop_genus
 
     # choose the branch depth: smallest depth holding >= _BRANCH_TARGET
     # branches; the collection at that depth is the one whose work counts
@@ -741,7 +755,6 @@ def _run_pattern(
         "pattern": pattern_to_json(p),
         "budget": budget,
         "order": list(order_labels),
-        "first_hit": first_hit,
         "fixed": structure_to_json_dict(fixed) if fixed else None,
         "depth": depth,
         "stop": stop_genus,
@@ -757,31 +770,22 @@ def _run_pattern(
     spec["node_cap"] = per_branch_cap
 
     best_genus, best_witness = collector.best_genus, collector.best_witness
-    hit = collector.hit
     inconclusive: Optional[InconclusiveError] = None
-    stopped_early = reached_stop(best_genus) or (first_hit and hit is not None)
+    stopped_early = reached_stop(best_genus)
 
-    pending = [path for path in branches if cache.get(path) is None]
-    results: dict[tuple[int, ...], dict] = {
-        path: cache.get(path) for path in branches if cache.get(path) is not None
-    }
-
-    def consume(path: tuple[int, ...], res: dict) -> None:
-        results[path] = res
-        cache.put(path, res)
-
-    def branch_satisfies_stop(res: dict) -> bool:
-        if first_hit:
-            return res["hit_genus"] is not None
-        return reached_stop(res["best_genus"])
+    cached = {path: cache.get(path) for path in branches}
+    results = {path: res for path, res in cached.items() if res is not None}
+    pending = [path for path in branches if path not in results]
 
     # Walk branches strictly in order, taking cached results where present
-    # and fresh ones otherwise, so early stops hit the same point whether or
+    # and fresh ones otherwise, so early stops are the same whether or
     # not a run was resumed and whatever the thread count.
     if not stopped_early:
         pool = None
-        if config.threads > 1 and pending:
-            pool = multiprocessing.Pool(config.threads)
+        workers = min(config.threads, len(pending))
+        if workers > 1:
+            halt = multiprocessing.RawValue("b", 0)
+            pool = multiprocessing.Pool(workers, _init_worker, (halt,))
             fresh = pool.imap(_branch_worker, [(spec, path) for path in pending])
         else:
             fresh = (_branch_worker((spec, path)) for path in pending)
@@ -794,46 +798,35 @@ def _run_pattern(
                     except InconclusiveError as exc:
                         inconclusive = exc
                         break
-                    consume(path, res)
-                if branch_satisfies_stop(res):
+                    results[path] = res
+                    cache.put(path, res)
+                if reached_stop(res[1]):
                     stopped_early = True
                     break
         finally:
             if pool is not None:
-                pool.terminate()
+                # halt the branches still running and let the workers exit;
+                # terminate() hangs for good if it kills a worker that holds
+                # the lock of the result queue
+                halt.value = 1
+                pool.close()
                 pool.join()
 
     # deterministic aggregation in branch order
     for path in branches:
         res = results.get(path)
         if res is None:
-            if stopped_early or inconclusive is not None or first_hit:
+            if stopped_early or inconclusive is not None:
                 continue  # remaining branches legitimately unexplored
             raise AssertionError("missing branch result in exhaustive mode")
-        nodes += res["nodes"]
-        if res["best_genus"] is not None and (
-            best_genus is None or res["best_genus"] < best_genus
-        ):
-            best_genus = res["best_genus"]
-            best_witness = structure_from_json(res["best_witness"])
-        if first_hit and hit is None and res["hit_genus"] is not None:
-            hit = (res["hit_genus"], structure_from_json(res["hit_witness"]))
+        branch_nodes, genus, witness = res
+        nodes += branch_nodes
+        if genus is not None and (best_genus is None or genus < best_genus):
+            best_genus, best_witness = genus, witness
 
     if inconclusive is not None:
         raise InconclusiveError(str(inconclusive), nodes_explored=nodes)
-
-    if first_hit:
-        exhausted = hit is None
-    else:
-        exhausted = not stopped_early
-    return {
-        "best_genus": best_genus if not first_hit else None,
-        "best_witness": best_witness if not first_hit else None,
-        "hit": hit,
-        "nodes": nodes,
-        "exhausted": exhausted,
-        "stopped_at_bound": (not first_hit) and stopped_early,
-    }
+    return best_genus, best_witness, nodes, not stopped_early
 
 
 # ---------------------------------------------------------------------------
@@ -860,18 +853,23 @@ def min_genus(
     if budget < 0:
         raise InvalidInputError("budget must be nonnegative")
 
-    lb = f2_genus_lower_bound(p)
-    if budget < lb:
+    total_nodes = 0
+
+    def exceeds(note: str) -> SearchResult:
         return SearchResult(
             kind="exceeds",
             budget=budget,
             genus=None,
             witness=None,
-            nodes_explored=0,
+            nodes_explored=total_nodes,
             exhausted=True,
             wall_time_s=time.time() - t0,
-            note=f"budget below homology lower bound {lb}",
+            note=note,
         )
+
+    lb = f2_genus_lower_bound(p)
+    if budget < lb:
+        return exceeds(f"budget below homology lower bound {lb}")
 
     if config.fixed is not None:
         comps = [tuple(range(len(p.curves)))]
@@ -884,7 +882,6 @@ def min_genus(
     ]
     lbs = [f2_genus_lower_bound(sub) for sub in subs]
 
-    total_nodes = 0
     total_genus_val = 0
     witnesses: list[RibbonStructure] = []
     exhausted_all = True
@@ -894,48 +891,21 @@ def min_genus(
         # exact minima, later ones at least their homology bounds
         sub_budget = budget - total_genus_val - sum(lbs[ci + 1 :])
         if sub_budget < lbs[ci]:
-            return SearchResult(
-                kind="exceeds",
-                budget=budget,
-                genus=None,
-                witness=None,
-                nodes_explored=total_nodes,
-                exhausted=True,
-                wall_time_s=time.time() - t0,
-                note="component budget below homology lower bound",
-            )
-        agg = _run_pattern(
-            sub, sub_budget, config, first_hit=False, stop_genus=lbs[ci]
+            return exceeds("component budget below homology lower bound")
+        genus, witness, nodes, exhausted = _run_pattern(
+            sub, sub_budget, config, stop_genus=lbs[ci]
         )
-        total_nodes += agg["nodes"]
-        exhausted_all = exhausted_all and agg["exhausted"]
-        if agg.get("stopped_at_bound"):
+        total_nodes += nodes
+        exhausted_all = exhausted_all and exhausted
+        if not exhausted:
             notes.append("reached the homology lower bound")
-        if agg["best_genus"] is None:
-            return SearchResult(
-                kind="exceeds",
-                budget=budget,
-                genus=None,
-                witness=None,
-                nodes_explored=total_nodes,
-                exhausted=True,
-                wall_time_s=time.time() - t0,
-                note="exhausted without any structure within budget",
-            )
-        total_genus_val += agg["best_genus"]
-        witnesses.append(agg["best_witness"])
+        if genus is None:
+            return exceeds("exhausted without any structure within budget")
+        total_genus_val += genus
+        witnesses.append(witness)
 
     if total_genus_val > budget:
-        return SearchResult(
-            kind="exceeds",
-            budget=budget,
-            genus=None,
-            witness=None,
-            nodes_explored=total_nodes,
-            exhausted=True,
-            wall_time_s=time.time() - t0,
-            note="component minima sum beyond budget",
-        )
+        return exceeds("component minima sum beyond budget")
 
     witness = _merge_witnesses(p, witnesses) if witnesses else None
     return SearchResult(
@@ -968,8 +938,8 @@ def is_realizable(
     genus: int,
     config: SearchConfig = SearchConfig(),
 ) -> SearchResult:
-    """Whether some ribbon structure has total genus <= genus; stops at the
-    first witness found."""
+    """Whether some ribbon structure has total genus <= genus: the
+    minimum-genus search stopped at the first structure within the budget."""
     require_valid(p)
     if genus < 0:
         raise InvalidInputError("genus must be nonnegative")
@@ -980,15 +950,14 @@ def is_realizable(
         # with each component at its exact minimum
         return min_genus(p, genus, config)
     t0 = time.time()
-    agg = _run_pattern(p, genus, config, first_hit=True)
-    hit = agg["hit"]
+    found, witness, nodes, exhausted = _run_pattern(p, genus, config, genus)
     return SearchResult(
-        kind="realizable" if hit else "exceeds",
+        kind="exceeds" if found is None else "realizable",
         budget=genus,
-        genus=hit[0] if hit else None,
-        witness=hit[1] if hit else None,
-        nodes_explored=agg["nodes"],
-        exhausted=agg["exhausted"],
+        genus=found,
+        witness=witness,
+        nodes_explored=nodes,
+        exhausted=exhausted,
         wall_time_s=time.time() - t0,
-        note="" if hit else "exhausted without any structure within budget",
+        note="exhausted without any structure within budget" if found is None else "",
     )

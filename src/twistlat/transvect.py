@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import intlinalg as la
 from .bitgraph import ArtinGraph, Vertex, vertex_str
@@ -24,23 +24,9 @@ from .lattice import QuotientLattice
 
 @dataclass(frozen=True)
 class SpMatrix:
-    """Integer matrix preserving the induced skew form, with optional
-    provenance word (vertex labels, leftmost factor first)."""
+    """Integer matrix preserving the induced skew form."""
 
     entries: la.IntMatrix
-    word: Optional[tuple[Vertex, ...]] = None
-
-    def __matmul__(self, other: "SpMatrix") -> "SpMatrix":
-        w = None
-        if self.word is not None and other.word is not None:
-            w = self.word + other.word
-        return SpMatrix(la.mat_mul(self.entries, other.entries), w)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SpMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
 
 def _vertices(q: QuotientLattice) -> tuple[Vertex, ...]:
@@ -60,11 +46,11 @@ def preserves_form(entries: Sequence[Sequence[int]], gram: la.IntMatrix) -> bool
     return la.mat_mul(la.mat_mul(la.transpose(m), gram), m) == gram
 
 
-def sp_matrix(q: QuotientLattice, entries, word=None) -> SpMatrix:
+def sp_matrix(q: QuotientLattice, entries) -> SpMatrix:
     m = la.freeze(entries)
     if not preserves_form(m, q.induced_gram):
         raise InvalidInputError("matrix does not preserve the induced form")
-    return SpMatrix(m, word)
+    return SpMatrix(m)
 
 
 def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
@@ -81,7 +67,7 @@ def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
     )
     if not preserves_form(entries, q.induced_gram):
         raise AssertionError(f"transvection of {vertex_str(v)} breaks the form")
-    return SpMatrix(entries, word=(tuple(v),))
+    return SpMatrix(entries)
 
 
 def transvection_inverse(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from twistlat.bitgraph import graph_from_json
 from twistlat.cli import main
 from twistlat.patterns import pattern_from_json, pattern_to_json
@@ -267,3 +269,35 @@ def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
         "--resume",
     )
     assert code == 0 and data["genus"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, expected",
+    [
+        # bit-strings that are not vertices of the k=4 graph
+        (("lattice", "rank", "--k", "4", "--subset", "01"), None, 2),
+        (("rep", "irreducible", "--seed", "01"), None, 2),
+        # truncated JSON
+        (("realize", "validate", "--pattern", "{file}"), '{"curves": ["x"', 2),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--fixed", "{file}"),
+            '{"visit_orders": {',
+            2,
+        ),
+        # a cache file that is JSON but not an object is ignored
+        (
+            ("realize", "min-genus", "--builtin", "chain7", "--budget", "5")
+            + ("--cache", "{file}", "--resume"),
+            "[]",
+            0,
+        ),
+    ],
+    ids=["lattice-subset", "rep-seed", "pattern-json", "fixed-json", "cache-list"],
+)
+def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):
+    f = tmp_path / "input.json"
+    if file_text is not None:
+        f.write_text(file_text)
+    code, data = run_json(capsys, *(a.replace("{file}", str(f)) for a in argv))
+    assert code == expected, data

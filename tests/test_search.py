@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -87,6 +88,13 @@ def test_matches_naive_on_random_patterns():
         r = min_genus(p)
         assert r.genus == ng, (p.curves, p.crossings())
         assert r.genus >= f2_genus_lower_bound(p)
+        # the realizability check is the same search stopped at the budget
+        for g in range(f2_genus_lower_bound(p) - 1, ng + 2):
+            res = is_realizable(p, g)
+            assert res.realizable == (ng <= g), (p.curves, p.crossings(), g)
+            assert (res.witness is not None) == res.realizable
+            if res.witness is not None:
+                assert surface_of(p, res.witness).total_genus <= g
 
 
 def test_relabel_invariance():
@@ -157,6 +165,46 @@ def test_thread_count_does_not_change_outcome(threads):
         assert _thread_outcome(case, threads) == _thread_outcome(case, 1), case
 
 
+def test_pool_is_no_larger_than_the_pending_branches(monkeypatch):
+    from twistlat import search
+
+    sizes, tasks = [], []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool: runs the tasks in-process."""
+
+        def __init__(self, processes, initializer=None, initargs=()):
+            sizes.append(processes)  # the initializer is for real workers
+
+        def imap(self, fn, iterable):
+            items = list(iterable)
+            tasks.append(len(items))
+            return map(fn, items)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
+    case = "curves12 check 5"
+    r = _THREAD_CASES[case](SearchConfig(threads=64))
+    assert sizes and len(sizes) == len(tasks)
+    assert all(size <= n for size, n in zip(sizes, tasks)), (sizes, tasks)
+    outcome = (r.kind, r.genus, r.nodes_explored, r.exhausted, r.note, r.witness)
+    assert outcome == _thread_outcome(case, 1)
+
+
+def test_halted_worker_abandons_its_branch(monkeypatch):
+    # what a pool worker sees once the parent has stopped the search
+    from twistlat import search
+
+    monkeypatch.setattr(search, "_halt", types.SimpleNamespace(value=1))
+    with pytest.raises(search._Halted):
+        min_genus(load_pattern("cycle8"), 4)
+
+
 def test_certificate_checks_survive_python_O():
     """The leaf's internal/external trace match still raises under -O."""
     code = textwrap.dedent(
@@ -204,6 +252,8 @@ def test_thread_count_invariance_on_exhaustion_run():
 
 
 def test_cache_resume(tmp_path):
+    from twistlat import search
+
     p = load_pattern("cycle8")
     cache = str(tmp_path / "cycle8.cache.json")
     r1 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache))
@@ -219,6 +269,25 @@ def test_cache_resume(tmp_path):
         json.dump(data, fh)
     r3 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
     assert (r3.kind, r3.genus, r3.nodes_explored) == (r1.kind, r1.genus, r1.nodes_explored)
+    # a right version and key with non-object branches is ignored too
+    data["version"] = search.CACHE_VERSION
+    data["branches"] = []
+    with open(cache, "w") as fh:
+        json.dump(data, fh)
+    r4 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
+    assert (r4.kind, r4.genus, r4.nodes_explored) == (r1.kind, r1.genus, r1.nodes_explored)
+
+    # a stopped realizability check resumes to the same witness and count
+    p12 = load_pattern("curves12")
+    cache12 = str(tmp_path / "curves12.cache.json")
+    fresh = is_realizable(p12, 5, SearchConfig(cache_path=cache12))
+    resumed = is_realizable(p12, 5, SearchConfig(cache_path=cache12, resume=True))
+    assert (fresh.kind, fresh.nodes_explored) == ("realizable", 1444)
+    assert (resumed.kind, resumed.nodes_explored, resumed.witness) == (
+        fresh.kind,
+        fresh.nodes_explored,
+        fresh.witness,
+    )
 
 
 def test_fixed_prefix_constrains_search():
