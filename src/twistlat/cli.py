@@ -13,6 +13,7 @@ exhaustion).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -256,40 +257,88 @@ def cmd_lattice(run: _Run, args) -> int:
 # -- rep -------------------------------------------------------------------------
 
 
-def _signs(args) -> list[int]:
-    if args.sign == "both":
-        return [1, -1]
-    return [int(args.sign)]
+def _algebra(k: int):
+    """The graph on {0,1}^k and the quotient of its skew lattice."""
+    return build_gamma(k), quotient_lattice(gram_matrix(k))
+
+
+# The `_*_check` functions compute each fact once and return (ok, payload);
+# a fact's subcommand and its verify-paper row both call its function.
+
+
+def _relations_check(q, g, sign: int) -> tuple[bool, dict]:
+    """The pair and triangle relations and the transvection shape, for one
+    sign; `checks` holds one verdict per verify-paper row."""
+    rep = verify_all_relations(q, g, sign=sign)
+    checks = {
+        "transvection-shape": all(transvection_shape(q, v, sign).ok for v in g.vertices),
+        "pair-relations": not rep.pair_failures,
+        "triangle-relations": not rep.triangle_failures,
+    }
+    return all(checks.values()), {"report": rep, "checks": checks}
+
+
+def _qform_check(q, g) -> tuple[bool, dict]:
+    """The quadratic refinement: its identity, its invariance under every
+    generator, and q = 1 on every class."""
+    ref = quadratic_refinement(q)
+    values = [ref.value(c) for c in q.class_map]
+    checks = {
+        "identity": refinement_identity_ok(ref),
+        "invariance": all(refinement_invariant_under(ref, q, v) for v in g.vertices),
+        "q(class)=1": all(x == 1 for x in values),
+    }
+    return all(checks.values()), {
+        "checks": checks,
+        "identity_ok": checks["identity"],
+        "invariant_ok": checks["invariance"],
+        "values_on_classes": values,
+        "table": list(ref.table),
+    }
+
+
+def _closure_check(q, g, seeds) -> tuple[bool, dict]:
+    """Dimension of the invariant span closure from each seed generator;
+    ok iff every one is the full rank."""
+    dims = {
+        vertex_str(v): invariant_span_closure(q, [q.class_map[g.vertex_index(v)]])
+        for v in seeds
+    }
+    ok = all(d == q.rank for d in dims.values())
+    return ok, {"closure_dims": dims, "rank": q.rank}
+
+
+def _parity_check(q) -> tuple[bool, dict]:
+    """The alternating chain sum is nonzero with odd pairing parity."""
+    nonzero, parity = chain_parity_check(q)
+    return nonzero and parity == 1, {"nonzero": nonzero, "parity": parity}
 
 
 def cmd_rep_check_relations(run: _Run, args) -> int:
-    g = build_gamma(args.k)
-    q = quotient_lattice(gram_matrix(args.k))
+    g, q = _algebra(args.k)
     ok = True
-    for sign in _signs(args):
-        rep = verify_all_relations(q, g, sign=sign)
-        shapes = [transvection_shape(q, v, sign) for v in g.vertices]
-        shape_ok = all(s.ok for s in shapes)
+    for sign in [1, -1] if args.sign == "both" else [int(args.sign)]:
+        sign_ok, res = _relations_check(q, g, sign)
+        rep = res["report"]
         run.verdicts[f"relations(sign={sign:+d})"] = rep.ok
-        run.verdicts[f"transvection-shape(sign={sign:+d})"] = shape_ok
+        run.verdicts[f"transvection-shape(sign={sign:+d})"] = res["checks"]["transvection-shape"]
         run.say(
             f"sign {sign:+d}: {rep.pairs_checked} pairs, "
             f"{rep.triangles_checked} triangles, "
-            f"{'ok' if rep.ok and shape_ok else 'FAILED'}"
+            f"{'ok' if sign_ok else 'FAILED'}"
         )
         if not rep.ok:
             for item in rep.pair_failures[:5]:
                 run.say(f"  pair failure: {item}")
             for item in rep.triangle_failures[:5]:
                 run.say(f"  triangle failure: {item}")
-        ok = ok and rep.ok and shape_ok
+        ok = ok and sign_ok
     run.payload = {"ok": ok}
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_rep_witnesses(run: _Run, args) -> int:
-    g = build_gamma(args.k)
-    q = quotient_lattice(gram_matrix(args.k))
+    g, q = _algebra(args.k)
     words = conjugacy_witnesses(q, g, sign=int(args.sign))
     run.payload = {
         "witnesses": {
@@ -303,45 +352,24 @@ def cmd_rep_witnesses(run: _Run, args) -> int:
 
 
 def cmd_rep_qform(run: _Run, args) -> int:
-    g = build_gamma(args.k)
-    q = quotient_lattice(gram_matrix(args.k))
-    ref = quadratic_refinement(q)
-    identity_ok = refinement_identity_ok(ref)
-    invariant_ok = all(
-        refinement_invariant_under(ref, q, v) for v in g.vertices
-    )
-    values_ok = all(ref.value(c) == 1 for c in q.class_map)
-    ok = identity_ok and invariant_ok and values_ok
+    g, q = _algebra(args.k)
+    ok, res = _qform_check(q, g)
+    checks = res.pop("checks")
+    run.payload = res
     run.verdicts["qform"] = ok
-    run.payload = {
-        "identity_ok": identity_ok,
-        "invariant_ok": invariant_ok,
-        "values_on_classes": [ref.value(c) for c in q.class_map],
-        "table": list(ref.table),
-    }
     run.say(
-        f"quadratic refinement: identity {'ok' if identity_ok else 'FAILED'}, "
-        f"invariance {'ok' if invariant_ok else 'FAILED'}, "
-        f"q(class)=1 {'ok' if values_ok else 'FAILED'}"
+        "quadratic refinement: "
+        + ", ".join(f"{name} {'ok' if c else 'FAILED'}" for name, c in checks.items())
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_rep_irreducible(run: _Run, args) -> int:
-    g = build_gamma(args.k)
-    q = quotient_lattice(gram_matrix(args.k))
-    if args.seed:
-        seeds = [parse_vertex(args.seed)]
-    else:
-        seeds = list(g.vertices)
-    dims = {}
-    ok = True
-    for v in seeds:
-        d = invariant_span_closure(q, [q.class_map[g.vertex_index(v)]])
-        dims[vertex_str(v)] = d
-        ok = ok and d == q.rank
-    run.payload = {"closure_dims": dims, "rank": q.rank}
+    g, q = _algebra(args.k)
+    seeds = [parse_vertex(args.seed)] if args.seed else g.vertices
+    ok, run.payload = _closure_check(q, g, seeds)
     run.verdicts["irreducible"] = ok
+    dims = run.payload["closure_dims"]
     run.say(
         "invariant span closure from "
         + ("all single-generator seeds" if not args.seed else args.seed)
@@ -351,18 +379,16 @@ def cmd_rep_irreducible(run: _Run, args) -> int:
 
 
 def cmd_rep_parity(run: _Run, args) -> int:
-    q = quotient_lattice(gram_matrix(4))
-    nonzero, parity = chain_parity_check(q)
-    ok = nonzero and parity == 1
-    run.payload = {"nonzero": nonzero, "parity": parity}
+    ok, run.payload = _parity_check(quotient_lattice(gram_matrix(4)))
     run.verdicts["parity"] = ok
-    run.say(f"alternating chain sum: nonzero={nonzero}, pairing parity={parity}")
+    run.say(
+        "alternating chain sum: nonzero={nonzero}, pairing parity={parity}".format(**run.payload)
+    )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_rep_export(run: _Run, args) -> int:
-    g = build_gamma(args.k)
-    q = quotient_lattice(gram_matrix(args.k))
+    g, q = _algebra(args.k)
     run.payload = rep_to_json_dict(q, g, int(args.sign))
     run.say("representation data exported (use --json to capture)")
     return EXIT_OK
@@ -371,13 +397,9 @@ def cmd_rep_export(run: _Run, args) -> int:
 # -- chains ----------------------------------------------------------------------
 
 
-def _parse_seq(text: str) -> list:
-    return [parse_vertex(s) for s in text.split(",") if s]
-
-
 def cmd_chains_verify(run: _Run, args) -> int:
     g = build_gamma(args.k)
-    seq = _parse_seq(args.seq)
+    seq = [parse_vertex(s) for s in args.seq.split(",") if s]
     if args.cycle:
         ok = g.verify_induced_cycle(seq)
         run.payload = {"is_induced_cycle": ok}
@@ -415,19 +437,22 @@ def cmd_chains_enumerate(run: _Run, args) -> int:
     return EXIT_OK
 
 
-def cmd_chains_witnesses(run: _Run, args) -> int:
-    g = build_gamma(4)
-    chain = list(BR8_CHAIN)
+def _partners_check(g) -> tuple[bool, dict]:
+    """A commuting partner on the canonical 7-chain exists exactly for the
+    non-extremal vertices."""
     rows = {}
     ok = True
     for v in g.vertices:
-        w = g.commuting_partner_witness(chain, v)
+        w = g.commuting_partner_witness(BR8_CHAIN, v)
         rows[vertex_str(v)] = w
-        expect_some = not g.is_extremal(v)
-        ok = ok and ((w is not None) == expect_some)
-    run.payload = {"witnesses": rows}
+        ok = ok and ((w is not None) == (not g.is_extremal(v)))
+    return ok, {"witnesses": rows}
+
+
+def cmd_chains_witnesses(run: _Run, args) -> int:
+    ok, run.payload = _partners_check(build_gamma(4))
     run.verdicts["commuting-partners"] = ok
-    for v, w in sorted(rows.items()):
+    for v, w in sorted(run.payload["witnesses"].items()):
         run.say(f"  {v}: {'none' if w is None else f'chain position {w}'}")
     run.say("witness pattern " + ("consistent" if ok else "INCONSISTENT"))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -463,6 +488,13 @@ def cmd_realize_bound(run: _Run, args) -> int:
     return EXIT_OK
 
 
+def _write_witness(run: _Run, args, witness) -> None:
+    if args.witness_out and witness is not None:
+        with open(args.witness_out, "w", encoding="utf-8") as fh:
+            json.dump(structure_to_json_dict(witness), fh, sort_keys=True, indent=1)
+        run.say(f"witness written to {args.witness_out}")
+
+
 def cmd_realize_min_genus(run: _Run, args) -> int:
     p = _load_pattern(run, args)
     cfg = _search_config(run, args)
@@ -474,12 +506,7 @@ def cmd_realize_min_genus(run: _Run, args) -> int:
             f"exact minimal genus {res.genus} "
             f"(nodes {res.nodes_explored}, {res.wall_time_s:.1f}s)"
         )
-        if args.witness_out and res.witness is not None:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    structure_to_json_dict(res.witness), fh, sort_keys=True, indent=1
-                )
-            run.say(f"witness written to {args.witness_out}")
+        _write_witness(run, args, res.witness)
     else:
         run.say(
             f"exceeds budget {res.budget} (exhausted={res.exhausted}, "
@@ -510,12 +537,7 @@ def cmd_realize_check(run: _Run, args) -> int:
     if res.realizable and res.witness is not None:
         s = surface_of(p, res.witness)
         run.say(f"witness neighborhood: components {s.components}")
-        if args.witness_out:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    structure_to_json_dict(res.witness), fh, sort_keys=True, indent=1
-                )
-            run.say(f"witness written to {args.witness_out}")
+        _write_witness(run, args, res.witness)
     return EXIT_OK
 
 
@@ -577,10 +599,7 @@ def _scoreboard(run: _Run, args) -> int:
     row("affine-cycle", cyc, "8-cycle with closing vertex is induced")
 
     non_ext = [v for v in g.vertices if not g.is_extremal(v)]
-    wit = {v: g.commuting_partner_witness(BR8_CHAIN, v) for v in g.vertices}
-    ok = all(wit[v] is not None for v in non_ext) and all(
-        wit[v] is None for v in ext
-    )
+    ok, _ = _partners_check(g)
     row("commuting-partners", ok, "witness for all 14 non-extremal, none for extremal")
 
     lat = gram_matrix(4)
@@ -613,38 +632,25 @@ def _scoreboard(run: _Run, args) -> int:
     det = q.determinant()
     row("unimodularity", abs(det) == 1, f"induced determinant {det}")
 
-    shape_ok = True
-    pairs_ok = True
-    tris_ok = True
-    for sign in (1, -1):
-        shapes = [transvection_shape(q, v, sign) for v in g.vertices]
-        shape_ok = shape_ok and all(s.ok for s in shapes)
-        r = verify_all_relations(q, g, sign=sign)
-        pairs_ok = pairs_ok and not r.pair_failures
-        tris_ok = tris_ok and not r.triangle_failures
-    row("transvection-shape", shape_ok, "rank-1, square-zero, primitive, fixed dim 9 (both signs)")
-    row("pair-relations", pairs_ok, "braid/commute matches edges, 120 pairs (both signs)")
-    row("triangle-relations", tris_ok, "four-letter identity on every triangle (both signs)")
+    by_sign = [_relations_check(q, g, sign)[1]["checks"] for sign in (1, -1)]
+    for name, detail in (
+        ("transvection-shape", "rank-1, square-zero, primitive, fixed dim 9 (both signs)"),
+        ("pair-relations", "braid/commute matches edges, 120 pairs (both signs)"),
+        ("triangle-relations", "four-letter identity on every triangle (both signs)"),
+    ):
+        row(name, all(checks[name] for checks in by_sign), detail)
 
     words = conjugacy_witnesses(q, g)
     row("conjugacy-witnesses", len(words) == 16, "16 verified spanning-tree words")
 
-    ref = quadratic_refinement(q)
-    q_ok = (
-        refinement_identity_ok(ref)
-        and all(ref.value(c) == 1 for c in q.class_map)
-        and all(refinement_invariant_under(ref, q, v) for v in g.vertices)
-    )
-    row("quadratic-refinement", q_ok, "q=1 on classes, identity + invariance exhaustively")
+    ok, _ = _qform_check(q, g)
+    row("quadratic-refinement", ok, "q=1 on classes, identity + invariance exhaustively")
 
-    irr_ok = all(
-        invariant_span_closure(q, [q.class_map[g.index[v]]]) == 10
-        for v in g.vertices
-    )
-    row("irreducibility", irr_ok, "closure from each generator direction = 10")
+    ok, _ = _closure_check(q, g, g.vertices)
+    row("irreducibility", ok, "closure from each generator direction = 10")
 
-    nonzero, parity = chain_parity_check(q)
-    row("homology-parity", nonzero and parity == 1, f"sum nonzero={nonzero}, parity={parity}")
+    ok, par = _parity_check(q)
+    row("homology-parity", ok, f"sum nonzero={par['nonzero']}, parity={par['parity']}")
 
     chain7 = bdata.load_pattern("chain7")
     res7 = min_genus(chain7, 5)
@@ -674,13 +680,7 @@ def _scoreboard(run: _Run, args) -> int:
     if args.fallback_only:
         p11 = bdata.load_pattern("curves11")
         fixed = bdata.load_structure("u-placement")
-        cfg11 = SearchConfig(
-            threads=args.threads,
-            cache_path=args.cache,
-            resume=args.resume,
-            fixed=fixed,
-        )
-        r11 = min_genus(p11, args.budget, cfg11)
+        r11 = min_genus(p11, args.budget, dataclasses.replace(cfg, fixed=fixed))
         ok11 = r11.kind == "exceeds" and r11.exhausted
         row(
             "eleven-curve-constrained",
@@ -864,7 +864,7 @@ def main(argv=None) -> int:
     run = _Run(args)
     try:
         code = args.func(run, args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         run.say(f"invalid input: {exc}")
         run.payload = {"error": str(exc)}
         return run.emit(EXIT_INVALID)
@@ -872,10 +872,6 @@ def main(argv=None) -> int:
         run.say(f"inconclusive: {exc} (nodes explored: {exc.nodes_explored})")
         run.payload = {"error": str(exc), "nodes_explored": exc.nodes_explored}
         return run.emit(EXIT_INCONCLUSIVE)
-    except FileNotFoundError as exc:
-        run.say(f"invalid input: {exc}")
-        run.payload = {"error": str(exc)}
-        return run.emit(EXIT_INVALID)
     return run.emit(code)
 
 

@@ -186,8 +186,8 @@ def pattern_to_json(p: CurvePattern) -> str:
 def pattern_from_json(payload: str | dict) -> CurvePattern:
     try:
         data = json.loads(payload) if isinstance(payload, str) else payload
-        curves = data["curves"]
-        pairs = data["intersections"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        return make_pattern(data["curves"], data["intersections"])
+    except InvalidInputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed pattern JSON: {exc}") from None
-    return make_pattern(curves, pairs)

@@ -297,9 +297,9 @@ def structure_from_json(payload: str | dict) -> RibbonStructure:
         data = json.loads(payload) if isinstance(payload, str) else payload
         orders = {lab: tuple(seq) for lab, seq in data["visit_orders"].items()}
         bits = [(a, b, int(v)) for a, b, v in data["crossing_bits"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return RibbonStructure(
+            tuple(sorted((lab, tuple(seq)) for lab, seq in orders.items())),
+            tuple(sorted((min(a, b), max(a, b), v) for a, b, v in bits)),
+        ).canonical()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed structure JSON: {exc}") from None
-    return RibbonStructure(
-        tuple(sorted((lab, tuple(seq)) for lab, seq in orders.items())),
-        tuple(sorted((min(a, b), max(a, b), v) for a, b, v in bits)),
-    ).canonical()

@@ -665,15 +665,19 @@ class _Cache:
                 self.results = data["branches"]
 
     def get(self, path: tuple[int, ...]) -> Optional[_BranchResult]:
-        res = self.results.get(repr(list(path)))
-        if res is None:
+        """The branch's cached result; None if it is absent or malformed,
+        so that the branch runs again."""
+        try:
+            res = self.results[repr(list(path))]
+            nodes, genus, witness = res["nodes"], res["best_genus"], res["best_witness"]
+            if witness is not None:
+                witness = structure_from_json(witness)
+        except (KeyError, TypeError, InvalidInputError):
             return None
-        witness = res["best_witness"]
-        return (
-            res["nodes"],
-            res["best_genus"],
-            structure_from_json(witness) if witness is not None else None,
+        well_formed = isinstance(nodes, int) and (
+            genus is None if witness is None else isinstance(genus, int)
         )
+        return (nodes, genus, witness) if well_formed else None
 
     def put(self, path: tuple[int, ...], result: _BranchResult) -> None:
         nodes, genus, witness = result
@@ -742,13 +746,22 @@ def _run_pattern(
         if len(branches) >= _BRANCH_TARGET or not branches:
             break
 
+    # the node cap bounds the whole search: it is charged in branch order,
+    # and past it the search stops where one thread stops, at the first
+    # node past the cap
     cap = config.node_cap
-    if cap is not None and collector.nodes > cap:
-        # the count at which a capped engine raises: the first node past the cap
-        raise InconclusiveError(
-            f"node cap {cap} exceeded before exhaustion", nodes_explored=cap + 1
-        )
     nodes = collector.nodes
+
+    def check_cap(count: int) -> None:
+        if cap is not None and count > cap:
+            raise InconclusiveError(
+                f"node cap {cap} exceeded before exhaustion", nodes_explored=cap + 1
+            )
+
+    def cap_left() -> Optional[int]:
+        return None if cap is None else cap - nodes
+
+    check_cap(nodes)
 
     key_payload = {
         "engine": ENGINE_VERSION,
@@ -764,44 +777,46 @@ def _run_pattern(
     ).hexdigest()
     cache = _Cache(config.cache_path, key, config.resume)
 
-    per_branch_cap = None
-    if cap is not None:
-        per_branch_cap = max(1, cap // max(1, len(branches)))
-    spec["node_cap"] = per_branch_cap
-
     best_genus, best_witness = collector.best_genus, collector.best_witness
-    inconclusive: Optional[InconclusiveError] = None
-    stopped_early = reached_stop(best_genus)
+    exhausted = not reached_stop(best_genus)
 
-    cached = {path: cache.get(path) for path in branches}
-    results = {path: res for path, res in cached.items() if res is not None}
-    pending = [path for path in branches if path not in results]
+    results = {path: cache.get(path) for path in branches}
+    pending = [path for path in branches if results[path] is None]
 
     # Walk branches strictly in order, taking cached results where present
-    # and fresh ones otherwise, so early stops are the same whether or
-    # not a run was resumed and whatever the thread count.
-    if not stopped_early:
+    # and fresh ones otherwise, so early stops and the cap are the same
+    # whether or not a run was resumed and whatever the thread count.
+    if exhausted:
         pool = None
         workers = min(config.threads, len(pending))
         if workers > 1:
+            # a worker cannot know what the branches before its own use, so
+            # each may use what collection left of the cap
+            spec["node_cap"] = cap_left()
             halt = multiprocessing.RawValue("b", 0)
             pool = multiprocessing.Pool(workers, _init_worker, (halt,))
             fresh = pool.imap(_branch_worker, [(spec, path) for path in pending])
         else:
-            fresh = (_branch_worker((spec, path)) for path in pending)
+            # one at a time, a branch may use what the branches before it left
+            fresh = (
+                _branch_worker(({**spec, "node_cap": cap_left()}, path)) for path in pending
+            )
         try:
             for path in branches:
-                res = results.get(path)
+                res = results[path]
                 if res is None:
                     try:
                         res = next(fresh)
-                    except InconclusiveError as exc:
-                        inconclusive = exc
-                        break
-                    results[path] = res
+                    except InconclusiveError:
+                        check_cap(cap + 1)  # the branch ran past what the cap left
                     cache.put(path, res)
-                if reached_stop(res[1]):
-                    stopped_early = True
+                branch_nodes, genus, witness = res
+                nodes += branch_nodes
+                check_cap(nodes)
+                if genus is not None and (best_genus is None or genus < best_genus):
+                    best_genus, best_witness = genus, witness
+                if reached_stop(genus):
+                    exhausted = False
                     break
         finally:
             if pool is not None:
@@ -811,22 +826,7 @@ def _run_pattern(
                 halt.value = 1
                 pool.close()
                 pool.join()
-
-    # deterministic aggregation in branch order
-    for path in branches:
-        res = results.get(path)
-        if res is None:
-            if stopped_early or inconclusive is not None:
-                continue  # remaining branches legitimately unexplored
-            raise AssertionError("missing branch result in exhaustive mode")
-        branch_nodes, genus, witness = res
-        nodes += branch_nodes
-        if genus is not None and (best_genus is None or genus < best_genus):
-            best_genus, best_witness = genus, witness
-
-    if inconclusive is not None:
-        raise InconclusiveError(str(inconclusive), nodes_explored=nodes)
-    return best_genus, best_witness, nodes, not stopped_early
+    return best_genus, best_witness, nodes, exhausted
 
 
 # ---------------------------------------------------------------------------

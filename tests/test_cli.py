@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 
 import pytest
@@ -16,6 +19,15 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, "--json", *argv)
     return code, json.loads(out)
+
+
+@functools.lru_cache(maxsize=None)
+def verify_paper_rows():
+    """Pass/fail of each `verify-paper` row, computed once per session."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--json", "verify-paper"])
+    return {row["name"]: row["pass"] for row in json.loads(out.getvalue())["rows"]}
 
 
 def test_gamma_stats(capsys):
@@ -127,6 +139,16 @@ def test_rep_export(capsys):
 def test_rep_check_relations(capsys):
     code, data = run_json(capsys, "rep", "check-relations", "--k", "3", "--sign", "both")
     assert code == 0 and data["ok"] is True
+    code, data = run_json(capsys, "rep", "check-relations", "--k", "4", "--sign", "both")
+    assert code == 0 and data["ok"] is True
+    assert data["manifest"]["verdicts"] == {
+        f"{name}(sign={sign})": True
+        for sign in ("+1", "-1")
+        for name in ("relations", "transvection-shape")
+    }
+    # the verify-paper rows run the same check at k=4
+    rows = verify_paper_rows()
+    assert rows["transvection-shape"] and rows["pair-relations"] and rows["triangle-relations"]
 
 
 def test_rep_qform(capsys):
@@ -146,6 +168,12 @@ def test_rep_irreducible_single_seed(capsys):
     code, data = run_json(capsys, "rep", "irreducible", "--seed", "0001")
     assert code == 0
     assert data["closure_dims"] == {"0001": 10}
+    # every seed, as the verify-paper row checks it
+    code, data = run_json(capsys, "rep", "irreducible")
+    assert code == 0 and data["manifest"]["verdicts"]["irreducible"] is True
+    assert len(data["closure_dims"]) == 16
+    assert set(data["closure_dims"].values()) == {10} and data["rank"] == 10
+    assert verify_paper_rows()["irreducibility"]
 
 
 def test_realize_validate_builtin(capsys):
@@ -285,6 +313,19 @@ def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
             '{"visit_orders": {',
             2,
         ),
+        # JSON of the wrong shape
+        (("realize", "validate", "--pattern", "{file}"), '{"curves": 5, "intersections": []}', 2),
+        (
+            ("realize", "validate", "--pattern", "{file}"),
+            '{"curves": ["x", "y"], "intersections": [["x"]]}',
+            2,
+        ),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--fixed", "{file}"),
+            '{"visit_orders": [], "crossing_bits": []}',
+            2,
+        ),
         # a cache file that is JSON but not an object is ignored
         (
             ("realize", "min-genus", "--builtin", "chain7", "--budget", "5")
@@ -293,7 +334,16 @@ def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
             0,
         ),
     ],
-    ids=["lattice-subset", "rep-seed", "pattern-json", "fixed-json", "cache-list"],
+    ids=[
+        "lattice-subset",
+        "rep-seed",
+        "pattern-json",
+        "fixed-json",
+        "pattern-curves-int",
+        "pattern-pair-short",
+        "fixed-orders-list",
+        "cache-list",
+    ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):
     f = tmp_path / "input.json"

@@ -145,6 +145,22 @@ def test_node_cap_raises_inconclusive():
     assert err.value.nodes_explored > 0
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_node_cap_bounds_the_whole_search(threads):
+    # a cap above what the search needs changes nothing, at any thread count
+    cfg = SearchConfig(node_cap=1_000_000, threads=threads)
+    r = min_genus(load_pattern("curves11"), config=cfg)
+    assert (r.kind, r.genus, r.nodes_explored) == ("exact", 4, 165_732)
+    p12 = load_pattern("curves12")
+    r = is_realizable(p12, 5, SearchConfig(node_cap=1444, threads=threads))
+    assert (r.kind, r.nodes_explored) == ("realizable", 1444)
+    # one node fewer: the search stops at the first node past the user's cap
+    for cap in (500, 1443):
+        with pytest.raises(InconclusiveError, match=f"^node cap {cap} exceeded") as err:
+            is_realizable(p12, 5, SearchConfig(node_cap=cap, threads=threads))
+        assert err.value.nodes_explored == cap + 1
+
+
 _THREAD_CASES = {
     "cycle8 min-genus 4": lambda cfg: min_genus(load_pattern("cycle8"), 4, cfg),
     "curves12 check 5": lambda cfg: is_realizable(load_pattern("curves12"), 5, cfg),
@@ -276,6 +292,26 @@ def test_cache_resume(tmp_path):
         json.dump(data, fh)
     r4 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
     assert (r4.kind, r4.genus, r4.nodes_explored) == (r1.kind, r1.genus, r1.nodes_explored)
+    # a malformed branch entry is ignored: that branch runs again
+    with open(cache) as fh:
+        data = json.load(fh)
+    entry = min(data["branches"])
+    good = data["branches"][entry]
+    for bad in (
+        [],
+        dict(good, nodes=str(good["nodes"])),
+        dict(good, best_witness={"visit_orders": [], "crossing_bits": []}),
+    ):
+        data["branches"][entry] = bad
+        with open(cache, "w") as fh:
+            json.dump(data, fh)
+        r5 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
+        assert (r5.kind, r5.genus, r5.nodes_explored, r5.witness) == (
+            r1.kind,
+            r1.genus,
+            r1.nodes_explored,
+            r1.witness,
+        ), bad
 
     # a stopped realizability check resumes to the same witness and count
     p12 = load_pattern("curves12")
