@@ -645,9 +645,13 @@ class _Cache:
     """Versioned JSON checkpoint of completed branch results; the only
     place a branch result is converted to or from JSON."""
 
-    def __init__(self, path: Optional[str], key: str, resume: bool):
+    def __init__(
+        self, path: Optional[str], key: str, resume: bool, p: CurvePattern, budget: int
+    ):
         self.path = path
         self.key = key
+        self.p = p
+        self.budget = budget
         self.results: dict[str, dict] = {}
         if path and resume and os.path.exists(path):
             try:
@@ -665,25 +669,25 @@ class _Cache:
                 self.results = data["branches"]
 
     def get(self, path: tuple[int, ...]) -> Optional[_BranchResult]:
-        """The branch's cached result; None if it is absent or malformed,
-        so that the branch runs again."""
+        """The branch's cached result, its genus traced from its witness;
+        None if it is absent, malformed, or its witness does not trace on
+        the pattern within the budget, so that the branch runs again."""
         try:
             res = self.results[repr(list(path))]
-            nodes, genus, witness = res["nodes"], res["best_genus"], res["best_witness"]
+            nodes, witness, genus = res["nodes"], res["best_witness"], None
             if witness is not None:
                 witness = structure_from_json(witness)
+                genus = surface_of(self.p, witness).total_genus
         except (KeyError, TypeError, InvalidInputError):
             return None
-        well_formed = isinstance(nodes, int) and (
-            genus is None if witness is None else isinstance(genus, int)
-        )
-        return (nodes, genus, witness) if well_formed else None
+        if not isinstance(nodes, int) or (genus is not None and genus > self.budget):
+            return None
+        return nodes, genus, witness
 
     def put(self, path: tuple[int, ...], result: _BranchResult) -> None:
-        nodes, genus, witness = result
+        nodes, _, witness = result
         self.results[repr(list(path))] = {
             "nodes": nodes,
-            "best_genus": genus,
             "best_witness": structure_to_json_dict(witness) if witness else None,
         }
         self._flush()
@@ -775,7 +779,7 @@ def _run_pattern(
     key = hashlib.sha256(
         json.dumps(key_payload, sort_keys=True).encode()
     ).hexdigest()
-    cache = _Cache(config.cache_path, key, config.resume)
+    cache = _Cache(config.cache_path, key, config.resume, p, budget)
 
     best_genus, best_witness = collector.best_genus, collector.best_witness
     exhausted = not reached_stop(best_genus)
@@ -846,12 +850,37 @@ def min_genus(
 ) -> SearchResult:
     """Exact minimum of total neighborhood genus over all ribbon structures,
     or a certified Exceeds(budget) verdict after exhausting the pruned tree."""
+    return _search(p, budget, config, realize=False)
+
+
+def is_realizable(
+    p: CurvePattern,
+    genus: int,
+    config: SearchConfig = SearchConfig(),
+) -> SearchResult:
+    """Whether some ribbon structure has total genus <= genus: the
+    minimum-genus search stopped at the first structure within the budget."""
+    return _search(p, genus, config, realize=True)
+
+
+def _search(
+    p: CurvePattern,
+    budget: Optional[int],
+    config: SearchConfig,
+    realize: bool,
+) -> SearchResult:
+    """The one search driver.  With ``realize`` a connected or pinned
+    pattern is searched once, stopped at the budget; otherwise, and for a
+    disconnected unpinned pattern, each component is searched for its exact
+    minimum, stopped at its homology bound."""
     require_valid(p)
     t0 = time.time()
     if budget is None:
         budget = _default_budget(p)
     if budget < 0:
-        raise InvalidInputError("budget must be nonnegative")
+        raise InvalidInputError(
+            f"{'genus' if realize else 'budget'} must be nonnegative"
+        )
 
     total_nodes = 0
 
@@ -875,6 +904,8 @@ def min_genus(
         comps = [tuple(range(len(p.curves)))]
     else:
         comps = list(p.components())
+    # a disconnected pattern is realized with each component at its minimum
+    realize = realize and len(comps) == 1
 
     subs = [
         subpattern(p, [p.curves[i] for i in comp]) if len(comps) > 1 else p
@@ -893,11 +924,11 @@ def min_genus(
         if sub_budget < lbs[ci]:
             return exceeds("component budget below homology lower bound")
         genus, witness, nodes, exhausted = _run_pattern(
-            sub, sub_budget, config, stop_genus=lbs[ci]
+            sub, sub_budget, config, stop_genus=sub_budget if realize else lbs[ci]
         )
         total_nodes += nodes
         exhausted_all = exhausted_all and exhausted
-        if not exhausted:
+        if not (exhausted or realize):
             notes.append("reached the homology lower bound")
         if genus is None:
             return exceeds("exhausted without any structure within budget")
@@ -909,7 +940,7 @@ def min_genus(
 
     witness = _merge_witnesses(p, witnesses) if witnesses else None
     return SearchResult(
-        kind="exact",
+        kind="realizable" if realize else "exact",
         budget=budget,
         genus=total_genus_val,
         witness=witness,
@@ -931,33 +962,3 @@ def _merge_witnesses(
         for a, b, bitv in part.crossing_bits:
             bits[(a, b)] = bitv
     return make_structure(p, orders, bits)
-
-
-def is_realizable(
-    p: CurvePattern,
-    genus: int,
-    config: SearchConfig = SearchConfig(),
-) -> SearchResult:
-    """Whether some ribbon structure has total genus <= genus: the
-    minimum-genus search stopped at the first structure within the budget."""
-    require_valid(p)
-    if genus < 0:
-        raise InvalidInputError("genus must be nonnegative")
-    if genus < f2_genus_lower_bound(p) or (
-        config.fixed is None and len(p.components()) > 1
-    ):
-        # below the bound nothing runs; a disconnected pattern is realized
-        # with each component at its exact minimum
-        return min_genus(p, genus, config)
-    t0 = time.time()
-    found, witness, nodes, exhausted = _run_pattern(p, genus, config, genus)
-    return SearchResult(
-        kind="exceeds" if found is None else "realizable",
-        budget=genus,
-        genus=found,
-        witness=witness,
-        nodes_explored=nodes,
-        exhausted=exhausted,
-        wall_time_s=time.time() - t0,
-        note="exhausted without any structure within budget" if found is None else "",
-    )

@@ -277,28 +277,6 @@ def test_manifests_identical_modulo_timing(capsys):
     assert d1 == d2
 
 
-def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TWISTLAT_CACHE_DIR", str(tmp_path))
-    code, _ = run_json(
-        capsys, "realize", "min-genus", "--builtin", "chain7", "--budget", "5"
-    )
-    assert code == 0
-    files = list(tmp_path.glob("twistlat-*.json"))
-    assert len(files) == 1
-    # resuming through the same default path reproduces the result
-    code, data = run_json(
-        capsys,
-        "realize",
-        "min-genus",
-        "--builtin",
-        "chain7",
-        "--budget",
-        "5",
-        "--resume",
-    )
-    assert code == 0 and data["genus"] == 3
-
-
 @pytest.mark.parametrize(
     "argv, file_text, expected",
     [
@@ -333,6 +311,9 @@ def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
             "[]",
             0,
         ),
+        # negative genus or budget
+        (("realize", "check", "--builtin", "chain7", "--genus", "-1"), None, 2),
+        (("realize", "min-genus", "--builtin", "chain7", "--budget", "-1"), None, 2),
     ],
     ids=[
         "lattice-subset",
@@ -343,6 +324,8 @@ def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
         "pattern-pair-short",
         "fixed-orders-list",
         "cache-list",
+        "check-genus-negative",
+        "min-genus-budget-negative",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):

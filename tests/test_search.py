@@ -127,6 +127,14 @@ def test_additivity_on_disconnected():
     r = min_genus(p)
     assert r.genus == expect
     assert surface_of(p, r.witness).total_genus == expect
+    # a disconnected pattern is realized with each component at its minimum
+    real = is_realizable(p, expect)
+    assert (real.kind, real.genus, real.nodes_explored, real.witness) == (
+        "exact",
+        r.genus,
+        r.nodes_explored,
+        r.witness,
+    )
 
 
 def test_realizable_and_witness():
@@ -313,6 +321,26 @@ def test_cache_resume(tmp_path):
             r1.witness,
         ), bad
 
+    # the genus of a cached branch is traced from its witness, never read:
+    # a false genus, or a witness of another pattern, is not trusted
+    chain7 = load_pattern("chain7")
+    cache7 = str(tmp_path / "chain7.cache.json")
+    fresh7 = min_genus(chain7, 5, SearchConfig(cache_path=cache7))
+    assert (fresh7.kind, fresh7.genus, fresh7.nodes_explored) == ("exact", 3, 49)
+    with open(cache7) as fh:
+        data7 = json.load(fh)
+    for change in ({"best_genus": 2}, {"best_witness": good["best_witness"]}):
+        branches = {k: dict(e, **change) for k, e in data7["branches"].items()}
+        with open(cache7, "w") as fh:
+            json.dump(dict(data7, branches=branches), fh)
+        r7 = min_genus(chain7, 5, SearchConfig(cache_path=cache7, resume=True))
+        assert (r7.kind, r7.genus, r7.nodes_explored, r7.witness) == (
+            fresh7.kind,
+            fresh7.genus,
+            fresh7.nodes_explored,
+            fresh7.witness,
+        )
+
     # a stopped realizability check resumes to the same witness and count
     p12 = load_pattern("curves12")
     cache12 = str(tmp_path / "curves12.cache.json")
@@ -419,6 +447,8 @@ def test_invalid_inputs():
     p = make_pattern(["x", "y"], [("x", "y")])
     with pytest.raises(InvalidInputError):
         min_genus(p, budget=-1)
+    with pytest.raises(InvalidInputError, match="genus"):
+        is_realizable(p, -1)
     with pytest.raises(InvalidInputError):
         min_genus(p, config=SearchConfig(order=("x",)))
     bad = make_pattern(["x", "y", "z"], [("x", "y")])
