@@ -144,8 +144,6 @@ def _search_config(run: _Run, args) -> SearchConfig:
         order=order,
         threads=getattr(args, "threads", 1),
         node_cap=getattr(args, "node_cap", None),
-        cache_path=getattr(args, "cache", None),
-        resume=getattr(args, "resume", False),
         fixed=fixed,
     )
 
@@ -796,8 +794,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", default="given", help='"given", "degree", or a,b,c,...')
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--node-cap", type=int)
-        p.add_argument("--cache", help="checkpoint file for resume")
-        p.add_argument("--resume", action="store_true")
         p.add_argument("--fixed", help="JSON file pinning a partial structure")
         p.add_argument(
             "--fixed-builtin",

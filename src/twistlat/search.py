@@ -26,17 +26,12 @@ Every run is decomposed into top-level branches (decision-path prefixes
 collected at the shallowest depth holding ``_BRANCH_TARGET`` of them, a
 depth that depends on the input alone).  Branches are searched
 independently and never share bounds, so verdicts, node counts and
-witnesses are identical for every ``threads`` value; branches are also the
-unit of checkpointing for ``cache_path``/``resume``.
+witnesses are identical for every ``threads`` value.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,21 +42,17 @@ from .patterns import (
     Label,
     f2_genus_lower_bound,
     pattern_from_json,  # noqa: F401  perfbench/spans.py wraps it by __dict__ lookup
-    pattern_to_json,
     require_valid,
     subpattern,
 )
 from .ribbon import (
     RibbonStructure,
     make_structure,
-    structure_from_json,
     structure_to_json_dict,
     surface_of,
     validate_structure,
 )
 
-ENGINE_VERSION = 1
-CACHE_VERSION = 2
 _MAX_COLLECT_DEPTH = 18
 # branches wanted per run; a constant, so the split is the same at every
 # thread count
@@ -82,8 +73,6 @@ class SearchConfig:
     order: str | tuple[Label, ...] = "given"  # "given", "degree", or explicit
     threads: int = 1
     node_cap: Optional[int] = None
-    cache_path: Optional[str] = None
-    resume: bool = False
     fixed: Optional[RibbonStructure] = None  # pinned partial structure
 
 
@@ -641,77 +630,6 @@ def _branch_worker(payload: tuple[dict, tuple[int, ...]]) -> _BranchResult:
     return eng.nodes, eng.best_genus, eng.best_witness
 
 
-class _Cache:
-    """Versioned JSON checkpoint of completed branch results; the only
-    place a branch result is converted to or from JSON."""
-
-    def __init__(
-        self, path: Optional[str], key: str, resume: bool, p: CurvePattern, budget: int
-    ):
-        self.path = path
-        self.key = key
-        self.p = p
-        self.budget = budget
-        self.results: dict[str, dict] = {}
-        if path and resume and os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                data = None
-            # another version, another key or a malformed file is ignored
-            if (
-                isinstance(data, dict)
-                and data.get("version") == CACHE_VERSION
-                and data.get("key") == key
-                and isinstance(data.get("branches"), dict)
-            ):
-                self.results = data["branches"]
-
-    def get(self, path: tuple[int, ...]) -> Optional[_BranchResult]:
-        """The branch's cached result, its genus traced from its witness;
-        None if it is absent, malformed, or its witness does not trace on
-        the pattern within the budget, so that the branch runs again."""
-        try:
-            res = self.results[repr(list(path))]
-            nodes, witness, genus = res["nodes"], res["best_witness"], None
-            if witness is not None:
-                witness = structure_from_json(witness)
-                genus = surface_of(self.p, witness).total_genus
-        except (KeyError, TypeError, InvalidInputError):
-            return None
-        if not isinstance(nodes, int) or (genus is not None and genus > self.budget):
-            return None
-        return nodes, genus, witness
-
-    def put(self, path: tuple[int, ...], result: _BranchResult) -> None:
-        nodes, _, witness = result
-        self.results[repr(list(path))] = {
-            "nodes": nodes,
-            "best_witness": structure_to_json_dict(witness) if witness else None,
-        }
-        self._flush()
-
-    def _flush(self) -> None:
-        if not self.path:
-            return
-        payload = {
-            "version": CACHE_VERSION,
-            "key": self.key,
-            "branches": self.results,
-        }
-        d = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".twistlat-cache-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
 def _run_pattern(
     p: CurvePattern,
     budget: int,
@@ -767,54 +685,29 @@ def _run_pattern(
 
     check_cap(nodes)
 
-    key_payload = {
-        "engine": ENGINE_VERSION,
-        "pattern": pattern_to_json(p),
-        "budget": budget,
-        "order": list(order_labels),
-        "fixed": structure_to_json_dict(fixed) if fixed else None,
-        "depth": depth,
-        "stop": stop_genus,
-    }
-    key = hashlib.sha256(
-        json.dumps(key_payload, sort_keys=True).encode()
-    ).hexdigest()
-    cache = _Cache(config.cache_path, key, config.resume, p, budget)
-
     best_genus, best_witness = collector.best_genus, collector.best_witness
     exhausted = not reached_stop(best_genus)
 
-    results = {path: cache.get(path) for path in branches}
-    pending = [path for path in branches if results[path] is None]
-
-    # Walk branches strictly in order, taking cached results where present
-    # and fresh ones otherwise, so early stops and the cap are the same
-    # whether or not a run was resumed and whatever the thread count.
+    # Walk branches strictly in order, so early stops and the cap are the
+    # same whatever the thread count.
     if exhausted:
         pool = None
-        workers = min(config.threads, len(pending))
+        workers = min(config.threads, len(branches))
         if workers > 1:
             # a worker cannot know what the branches before its own use, so
             # each may use what collection left of the cap
             spec["node_cap"] = cap_left()
             halt = multiprocessing.RawValue("b", 0)
             pool = multiprocessing.Pool(workers, _init_worker, (halt,))
-            fresh = pool.imap(_branch_worker, [(spec, path) for path in pending])
+            fresh = pool.imap(_branch_worker, [(spec, path) for path in branches])
         else:
             # one at a time, a branch may use what the branches before it left
             fresh = (
-                _branch_worker(({**spec, "node_cap": cap_left()}, path)) for path in pending
+                _branch_worker(({**spec, "node_cap": cap_left()}, path))
+                for path in branches
             )
         try:
-            for path in branches:
-                res = results[path]
-                if res is None:
-                    try:
-                        res = next(fresh)
-                    except InconclusiveError:
-                        check_cap(cap + 1)  # the branch ran past what the cap left
-                    cache.put(path, res)
-                branch_nodes, genus, witness = res
+            for branch_nodes, genus, witness in fresh:
                 nodes += branch_nodes
                 check_cap(nodes)
                 if genus is not None and (best_genus is None or genus < best_genus):
@@ -822,6 +715,9 @@ def _run_pattern(
                 if reached_stop(genus):
                     exhausted = False
                     break
+        except InconclusiveError:
+            # a branch ran past what the cap left it: report the whole cap
+            check_cap(cap + 1)
         finally:
             if pool is not None:
                 # halt the branches still running and let the workers exit;
@@ -838,9 +734,13 @@ def _run_pattern(
 
 
 def _default_budget(p: CurvePattern) -> int:
-    # chi = -V, so any neighborhood has genus <= (V + 1) // 2 + 1
-    v = len(p.crossings())
-    return (v + 2) // 2 + 1
+    # chi = -V, so a connected neighborhood has genus <= (V + 1) // 2 + 1;
+    # a disconnected one has the sum of its components' genera
+    budget = 0
+    for comp in p.components():
+        v = sum(sum(p.inter[i]) for i in comp) // 2  # the component's crossings
+        budget += (v + 2) // 2 + 1
+    return budget
 
 
 def min_genus(
@@ -881,6 +781,10 @@ def _search(
         raise InvalidInputError(
             f"{'genus' if realize else 'budget'} must be nonnegative"
         )
+    if config.node_cap is not None and config.node_cap < 0:
+        raise InvalidInputError("node cap must be nonnegative")
+    if config.threads < 1:
+        raise InvalidInputError("threads must be at least 1")
 
     total_nodes = 0
 

@@ -2,11 +2,13 @@ import contextlib
 import functools
 import io
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from twistlat.bitgraph import graph_from_json
-from twistlat.cli import main
+from twistlat.cli import _build_parser, main
 from twistlat.patterns import pattern_from_json, pattern_to_json
 
 
@@ -304,16 +306,11 @@ def test_manifests_identical_modulo_timing(capsys):
             '{"visit_orders": [], "crossing_bits": []}',
             2,
         ),
-        # a cache file that is JSON but not an object is ignored
-        (
-            ("realize", "min-genus", "--builtin", "chain7", "--budget", "5")
-            + ("--cache", "{file}", "--resume"),
-            "[]",
-            0,
-        ),
-        # negative genus or budget
+        # negative genus, budget or node cap, and no thread to run on
         (("realize", "check", "--builtin", "chain7", "--genus", "-1"), None, 2),
         (("realize", "min-genus", "--builtin", "chain7", "--budget", "-1"), None, 2),
+        (("realize", "min-genus", "--builtin", "chain7", "--node-cap", "-1"), None, 2),
+        (("realize", "check", "--builtin", "chain7", "--genus", "3", "--threads", "0"), None, 2),
     ],
     ids=[
         "lattice-subset",
@@ -323,9 +320,10 @@ def test_manifests_identical_modulo_timing(capsys):
         "pattern-curves-int",
         "pattern-pair-short",
         "fixed-orders-list",
-        "cache-list",
         "check-genus-negative",
         "min-genus-budget-negative",
+        "min-genus-node-cap-negative",
+        "check-threads-zero",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):
@@ -334,3 +332,27 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected)
         f.write_text(file_text)
     code, data = run_json(capsys, *(a.replace("{file}", str(f)) for a in argv))
     assert code == expected, data
+
+
+def readme_commands():
+    """Every `twistlat ...` line in README's fenced code blocks, comments
+    stripped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines, fenced = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("twistlat "):
+            lines.append(line.split("#", 1)[0].strip())
+    return lines
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands
+    parser = _build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -61,6 +61,8 @@ def test_chain_exact_three():
     assert (r.kind, r.genus) == ("exact", 3)
     ng, _ = naive_min_genus(p)
     assert ng == 3
+    r7 = min_genus(load_pattern("chain7"), 5)
+    assert (r7.kind, r7.genus, r7.nodes_explored) == ("exact", 3, 49)
 
 
 def test_fast_exceeds_below_bound():
@@ -135,6 +137,15 @@ def test_additivity_on_disconnected():
         r.nodes_explored,
         r.witness,
     )
+    # the default budget bounds each component: five disjoint meeting pairs
+    # need genus 5, and their crossings alone would allow only 4
+    pairs = make_pattern(
+        [f"{s}{i}" for i in range(5) for s in "ab"],
+        [(f"a{i}", f"b{i}") for i in range(5)],
+    )
+    r5 = min_genus(pairs)
+    assert (r5.kind, r5.genus) == ("exact", 5)
+    assert surface_of(pairs, r5.witness).total_genus == 5
 
 
 def test_realizable_and_witness():
@@ -272,85 +283,6 @@ def test_thread_count_invariance_on_exhaustion_run():
         r2.kind,
         r2.nodes_explored,
         r2.exhausted,
-    )
-
-
-def test_cache_resume(tmp_path):
-    from twistlat import search
-
-    p = load_pattern("cycle8")
-    cache = str(tmp_path / "cycle8.cache.json")
-    r1 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache))
-    r2 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
-    assert (r1.kind, r1.genus, r1.nodes_explored) == (r2.kind, r2.genus, r2.nodes_explored)
-    # corrupt the version: the cache is ignored, not trusted
-    import json
-
-    with open(cache) as fh:
-        data = json.load(fh)
-    data["version"] = 999
-    with open(cache, "w") as fh:
-        json.dump(data, fh)
-    r3 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
-    assert (r3.kind, r3.genus, r3.nodes_explored) == (r1.kind, r1.genus, r1.nodes_explored)
-    # a right version and key with non-object branches is ignored too
-    data["version"] = search.CACHE_VERSION
-    data["branches"] = []
-    with open(cache, "w") as fh:
-        json.dump(data, fh)
-    r4 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
-    assert (r4.kind, r4.genus, r4.nodes_explored) == (r1.kind, r1.genus, r1.nodes_explored)
-    # a malformed branch entry is ignored: that branch runs again
-    with open(cache) as fh:
-        data = json.load(fh)
-    entry = min(data["branches"])
-    good = data["branches"][entry]
-    for bad in (
-        [],
-        dict(good, nodes=str(good["nodes"])),
-        dict(good, best_witness={"visit_orders": [], "crossing_bits": []}),
-    ):
-        data["branches"][entry] = bad
-        with open(cache, "w") as fh:
-            json.dump(data, fh)
-        r5 = min_genus(p, budget=4, config=SearchConfig(cache_path=cache, resume=True))
-        assert (r5.kind, r5.genus, r5.nodes_explored, r5.witness) == (
-            r1.kind,
-            r1.genus,
-            r1.nodes_explored,
-            r1.witness,
-        ), bad
-
-    # the genus of a cached branch is traced from its witness, never read:
-    # a false genus, or a witness of another pattern, is not trusted
-    chain7 = load_pattern("chain7")
-    cache7 = str(tmp_path / "chain7.cache.json")
-    fresh7 = min_genus(chain7, 5, SearchConfig(cache_path=cache7))
-    assert (fresh7.kind, fresh7.genus, fresh7.nodes_explored) == ("exact", 3, 49)
-    with open(cache7) as fh:
-        data7 = json.load(fh)
-    for change in ({"best_genus": 2}, {"best_witness": good["best_witness"]}):
-        branches = {k: dict(e, **change) for k, e in data7["branches"].items()}
-        with open(cache7, "w") as fh:
-            json.dump(dict(data7, branches=branches), fh)
-        r7 = min_genus(chain7, 5, SearchConfig(cache_path=cache7, resume=True))
-        assert (r7.kind, r7.genus, r7.nodes_explored, r7.witness) == (
-            fresh7.kind,
-            fresh7.genus,
-            fresh7.nodes_explored,
-            fresh7.witness,
-        )
-
-    # a stopped realizability check resumes to the same witness and count
-    p12 = load_pattern("curves12")
-    cache12 = str(tmp_path / "curves12.cache.json")
-    fresh = is_realizable(p12, 5, SearchConfig(cache_path=cache12))
-    resumed = is_realizable(p12, 5, SearchConfig(cache_path=cache12, resume=True))
-    assert (fresh.kind, fresh.nodes_explored) == ("realizable", 1444)
-    assert (resumed.kind, resumed.nodes_explored, resumed.witness) == (
-        fresh.kind,
-        fresh.nodes_explored,
-        fresh.witness,
     )
 
 
