@@ -15,9 +15,8 @@ exactly.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidInputError
 
@@ -42,6 +41,13 @@ BR8_CHAIN: tuple[Vertex, ...] = (
 
 #: The chain closed up into an induced 8-cycle (affine braid group).
 AFFINE_CYCLE: tuple[Vertex, ...] = BR8_CHAIN + ((1, 0, 0, 1),)
+
+
+def vertices(k: int) -> tuple[Vertex, ...]:
+    """{0,1}^k in lexicographic order, the vertex order used throughout."""
+    if not isinstance(k, int) or k < 1 or k > MAX_K:
+        raise InvalidInputError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
+    return tuple(itertools.product((0, 1), repeat=k))
 
 
 def parse_vertex(s: str) -> Vertex:
@@ -86,12 +92,8 @@ class ArtinGraph:
     """
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 1 or k > MAX_K:
-            raise InvalidInputError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
+        self.vertices: tuple[Vertex, ...] = vertices(k)
         self.k = k
-        self.vertices: tuple[Vertex, ...] = tuple(
-            itertools.product((0, 1), repeat=k)
-        )
         self.index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         edges = []
@@ -230,16 +232,14 @@ class ArtinGraph:
         return results
 
     def commuting_partner_witness(
-        self,
-        chain: Sequence[Vertex],
-        v: Vertex,
-        positions: Iterable[int] = DEFAULT_WITNESS_POSITIONS,
+        self, chain: Sequence[Vertex], v: Vertex
     ) -> Optional[int]:
-        """Smallest 1-based chain position i (from `positions`) whose vertex
-        commutes with v, i.e. is a non-edge partner of v or v itself."""
+        """Smallest 1-based chain position i (from DEFAULT_WITNESS_POSITIONS)
+        whose vertex commutes with v, i.e. is a non-edge partner of v or v
+        itself."""
         vi = self.vertex_index(v)
         idx = [self.vertex_index(u) for u in chain]
-        for i in sorted(positions):
+        for i in DEFAULT_WITNESS_POSITIONS:
             if not 1 <= i <= len(idx):
                 raise InvalidInputError(f"chain position {i} out of range")
             u = idx[i - 1]
@@ -255,9 +255,6 @@ class ArtinGraph:
             "vertices": [vertex_str(v) for v in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_dot(self) -> str:
         lines = ["graph gamma {"]
@@ -275,15 +272,3 @@ def build_gamma(k: int) -> ArtinGraph:
     """Construct the comparability graph on {0,1}^k (1 <= k <= 8)."""
     return ArtinGraph(k)
 
-
-def graph_from_json(payload: str | dict) -> ArtinGraph:
-    """Rebuild a graph from its JSON export, verifying the edge list."""
-    data = json.loads(payload) if isinstance(payload, str) else payload
-    g = build_gamma(int(data["k"]))
-    vertices = [parse_vertex(s) for s in data["vertices"]]
-    if tuple(vertices) != g.vertices:
-        raise InvalidInputError("vertex list does not match lexicographic order")
-    edges = tuple(sorted((min(i, j), max(i, j)) for i, j in data["edges"]))
-    if edges != g.edges:
-        raise InvalidInputError("edge list does not match the comparability rule")
-    return g

@@ -113,6 +113,15 @@ class _Run:
         return code
 
 
+def _reject_conflicting_inputs(args) -> None:
+    """Each pair of options names one input two ways; give at most one."""
+    for a, b in (("pattern", "builtin"), ("fixed", "fixed_builtin")):
+        if getattr(args, a, None) and getattr(args, b, None):
+            raise InvalidInputError(
+                f"give --{a} or --{b.replace('_', '-')}, not both"
+            )
+
+
 def _load_pattern(run: _Run, args) -> CurvePattern:
     if getattr(args, "builtin", None):
         text = bdata.raw_file(bdata.PATTERN_FILES[args.builtin])
@@ -406,6 +415,8 @@ def cmd_chains_verify(run: _Run, args) -> int:
 
 
 def cmd_chains_enumerate(run: _Run, args) -> int:
+    if args.limit < 0:
+        raise InvalidInputError("limit must be nonnegative")
     g = build_gamma(args.k)
     paths = g.enumerate_induced_paths(args.length, avoid_extremal=args.avoid_extremal)
     run.payload = {
@@ -839,6 +850,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     run = _Run(args)
     try:
+        _reject_conflicting_inputs(args)
         code = args.func(run, args)
     except (InvalidInputError, FileNotFoundError) as exc:
         run.say(f"invalid input: {exc}")

@@ -196,35 +196,6 @@ def hnf_coords(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[Int
     return tuple(coords)
 
 
-def solve_int(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:
-    """Some integer solution x of a @ x = b, or None."""
-    at = transpose(a)
-    if not at:
-        return None
-    h, u = row_hnf(at, with_transform=True)
-    # a @ u^T = h^T, so solve h^T y = b by substitution on pivot positions.
-    n_rows = len(a)
-    y = [0] * len(h)
-    rem = list(b)
-    if len(rem) != n_rows:
-        raise ValueError("dimension mismatch")
-    for r, row in enumerate(h):
-        j = next((j for j, x in enumerate(row) if x != 0), None)
-        if j is None:
-            continue
-        if rem[j] % row[j] != 0:
-            return None
-        y[r] = rem[j] // row[j]
-        if y[r]:
-            for t in range(n_rows):
-                rem[t] -= y[r] * row[t]
-    if not is_zero_vector(rem):
-        return None
-    # x = u^T @ y
-    m = len(u)
-    return tuple(sum(u[r][i] * y[r] for r in range(m)) for i in range(m))
-
-
 def rank_mod2(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the two-element field."""
     masks = []

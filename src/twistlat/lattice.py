@@ -18,12 +18,11 @@ All arithmetic in this module is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import intlinalg as la
-from .bitgraph import MAX_K, Vertex
+from .bitgraph import Vertex, vertices
 from .errors import DegenerateFormError, InvalidInputError
 
 
@@ -90,9 +89,7 @@ class QuotientLattice:
 
 def gram_matrix(k: int) -> SkewLattice:
     """Full Gram matrix of the pairing on {0,1}^k in lexicographic order."""
-    if not isinstance(k, int) or k < 1 or k > MAX_K:
-        raise InvalidInputError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
-    verts = list(itertools.product((0, 1), repeat=k))
+    verts = vertices(k)
     gram = tuple(
         tuple(hl_pairing(u, v) for v in verts) for u in verts
     )
@@ -109,10 +106,11 @@ def quotient_lattice(lattice: SkewLattice) -> QuotientLattice:
     n = len(g)
     rad = radical(lattice)
     # Image lattice of x -> G x; its Hermite basis fixes quotient coordinates.
-    image_basis = tuple(
-        row for row in la.row_hnf(la.transpose(g)) if not la.is_zero_vector(row)
-    )
-    r = len(image_basis)
+    # U G^T = H, so the transform row u matching a basis row h has G u = h:
+    # these rows are the integral preimages that give the induced form.
+    h, u = la.row_hnf(la.transpose(g), with_transform=True)
+    r = sum(1 for row in h if not la.is_zero_vector(row))
+    image_basis, preimages = h[:r], u[:r]
     class_map = []
     for i in range(n):
         col = tuple(g[t][i] for t in range(n))
@@ -120,13 +118,6 @@ def quotient_lattice(lattice: SkewLattice) -> QuotientLattice:
         if coords is None:
             raise AssertionError("column of G must lie in the image lattice")
         class_map.append(coords)
-    # Induced form via integral preimages w_a with G w_a = basis row a.
-    preimages = []
-    for row in image_basis:
-        w = la.solve_int(g, row)
-        if w is None:
-            raise AssertionError("image basis row must be hit by G")
-        preimages.append(w)
     induced = tuple(
         tuple(la.vec_dot(preimages[a], image_basis[b]) for b in range(r))
         for a in range(r)
@@ -276,33 +267,3 @@ def lattice_to_json_dict(lattice: SkewLattice, q: QuotientLattice | None = None)
             }
         )
     return payload
-
-
-def lattice_to_json(lattice: SkewLattice, q: QuotientLattice | None = None) -> str:
-    return json.dumps(lattice_to_json_dict(lattice, q), sort_keys=True)
-
-
-def lattice_from_json(payload: str | dict) -> tuple[SkewLattice, QuotientLattice | None]:
-    """Rebuild (and re-derive) the lattice from its JSON export, verifying
-    that the stored matrices match the pairing rule."""
-    data = json.loads(payload) if isinstance(payload, str) else payload
-    try:
-        k = int(data["k"])
-        gram = la.freeze(data["gram"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed lattice JSON: {exc}") from None
-    lattice = gram_matrix(k)
-    if lattice.gram != gram:
-        raise InvalidInputError("stored Gram matrix does not match the pairing rule")
-    if "class_map" not in data:
-        return lattice, None
-    q = quotient_lattice(lattice)
-    stored = {
-        "radical_basis": q.radical_basis,
-        "class_map": q.class_map,
-        "induced_gram": q.induced_gram,
-    }
-    for key, want in stored.items():
-        if la.freeze(data[key]) != want:
-            raise InvalidInputError(f"stored {key} does not match the derivation")
-    return lattice, q

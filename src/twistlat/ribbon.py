@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -102,6 +103,9 @@ def validate_structure(p: CurvePattern, r: RibbonStructure) -> list[str]:
     want_bits = {
         tuple(sorted((p.curves[i], p.curves[j]))) for i, j in p.crossings()
     }
+    listed = Counter(tuple(sorted((a, b))) for a, b, _ in r.crossing_bits)
+    for key in sorted(key for key, n in listed.items() if n > 1):
+        problems.append(f"crossing {key} listed more than once")
     got_bits = r.bits()
     if set(got_bits) != want_bits:
         problems.append("crossing bits do not cover exactly the crossing set")

@@ -143,8 +143,6 @@ class _Engine:
         self.node_cap = node_cap
         self.stop_genus = stop_genus  # stop once a structure has genus <= it
         self.order = [pattern.index(lab) for lab in order]
-        if sorted(self.order) != list(range(len(pattern.curves))):
-            raise InvalidInputError("insertion order must cover every curve once")
 
         self.fixed_labels: set[Label] = set()
         if fixed is not None:
@@ -157,10 +155,10 @@ class _Engine:
             ]
             rest = [i for i in self.order if pattern.curves[i] not in self.fixed_labels]
             self.order = fixed_first + rest
-        # reflection pinning is a symmetry quotient only without a pinned prefix
-        self.pin_reflection = fixed is None
+        # reflection pinning is a symmetry quotient only without a pinned
+        # prefix, so a pinned search has no anchor pairs
         self.anchor_pairs: set[tuple[int, int]] = set()
-        if self.pin_reflection:
+        if fixed is None:
             for comp in pattern.components():
                 pairs = [
                     (i, j) for i in comp for j in comp if i < j and pattern.inter[i][j]
@@ -509,9 +507,8 @@ class _Engine:
         if self.p.curves[c] in self.fixed_labels:
             self._dfs_curve(k + 1)
             return
-        inserted = set(self.order[:k]) | {
-            self.p.index(lab) for lab in self.fixed_labels
-        }
+        # pinned curves come first in the order, so this includes them
+        inserted = set(self.order[:k])
         partners = sorted(j for j in self.p.neighbors(c) if j in inserted)
         if not partners:
             self._dfs_curve(k + 1)
@@ -522,7 +519,7 @@ class _Engine:
         self._dfs_place(c, k, partners[0], partners[1:], [], None, filter_ok)
 
     def _bit_choices(self, c: int, q: int) -> tuple[int, ...]:
-        if self.pin_reflection and (min(c, q), max(c, q)) in self.anchor_pairs:
+        if (min(c, q), max(c, q)) in self.anchor_pairs:
             return (0,)
         return (0, 1)
 

@@ -17,26 +17,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import intlinalg as la
-from .bitgraph import ArtinGraph, Vertex, vertex_str
+from .bitgraph import ArtinGraph, Vertex, vertex_str, vertices
 from .errors import InvalidInputError, RefinementError
 from .lattice import QuotientLattice
 
 
-@dataclass(frozen=True)
-class SpMatrix:
-    """Integer matrix preserving the induced skew form."""
-
-    entries: la.IntMatrix
-
-
-def _vertices(q: QuotientLattice) -> tuple[Vertex, ...]:
-    return tuple(itertools.product((0, 1), repeat=q.source.k))
-
-
 def _vertex_index(q: QuotientLattice, v: Vertex) -> int:
-    verts = _vertices(q)
     try:
-        return verts.index(tuple(v))
+        return vertices(q.source.k).index(tuple(v))
     except ValueError:
         raise InvalidInputError(f"not a vertex of this lattice: {v!r}") from None
 
@@ -46,14 +34,7 @@ def preserves_form(entries: Sequence[Sequence[int]], gram: la.IntMatrix) -> bool
     return la.mat_mul(la.mat_mul(la.transpose(m), gram), m) == gram
 
 
-def sp_matrix(q: QuotientLattice, entries) -> SpMatrix:
-    m = la.freeze(entries)
-    if not preserves_form(m, q.induced_gram):
-        raise InvalidInputError("matrix does not preserve the induced form")
-    return SpMatrix(m)
-
-
-def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
+def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> la.IntMatrix:
     """Matrix of x -> x + sign*<x, a_v>*a_v in quotient coordinates."""
     if sign not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
@@ -67,15 +48,7 @@ def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
     )
     if not preserves_form(entries, q.induced_gram):
         raise AssertionError(f"transvection of {vertex_str(v)} breaks the form")
-    return SpMatrix(entries)
-
-
-def transvection_inverse(q: QuotientLattice, v: Vertex, sign: int = 1) -> SpMatrix:
-    return transvection(q, v, -sign)
-
-
-def all_transvections(q: QuotientLattice, sign: int = 1) -> dict[Vertex, SpMatrix]:
-    return {v: transvection(q, v, sign) for v in _vertices(q)}
+    return entries
 
 
 @dataclass(frozen=True)
@@ -103,7 +76,7 @@ class TransvectionShape:
 def transvection_shape(q: QuotientLattice, v: Vertex, sign: int = 1) -> TransvectionShape:
     t = transvection(q, v, sign)
     n = q.rank
-    dev = la.mat_sub(t.entries, la.identity(n))
+    dev = la.mat_sub(t, la.identity(n))
     dev_rank = la.rank(dev)
     dev_sq = la.mat_mul(dev, dev)
     sq_zero = all(all(x == 0 for x in row) for row in dev_sq)
@@ -118,14 +91,16 @@ def transvection_shape(q: QuotientLattice, v: Vertex, sign: int = 1) -> Transvec
     )
 
 
-def verify_pair_relation(a: SpMatrix, b: SpMatrix, expect_braid: bool) -> bool:
+def verify_pair_relation(
+    a: la.IntMatrix, b: la.IntMatrix, expect_braid: bool
+) -> bool:
     """ABA == BAB when a braid is expected, AB == BA otherwise."""
     if expect_braid:
-        lhs = la.mat_mul(la.mat_mul(a.entries, b.entries), a.entries)
-        rhs = la.mat_mul(la.mat_mul(b.entries, a.entries), b.entries)
+        lhs = la.mat_mul(la.mat_mul(a, b), a)
+        rhs = la.mat_mul(la.mat_mul(b, a), b)
     else:
-        lhs = la.mat_mul(a.entries, b.entries)
-        rhs = la.mat_mul(b.entries, a.entries)
+        lhs = la.mat_mul(a, b)
+        rhs = la.mat_mul(b, a)
     return lhs == rhs
 
 
@@ -169,7 +144,7 @@ def verify_all_relations(
     four-letter identity T_u T_v T_w T_u = T_v T_w T_u T_v on every ordering
     of every triangle (holding exactly in the orientation class where the
     signed pairings multiply to -1 around the triangle)."""
-    verts = _vertices(q)
+    verts = vertices(q.source.k)
     if verts != g.vertices:
         raise InvalidInputError("graph and lattice have different vertex sets")
     ts = {v: transvection(q, v, sign) for v in verts}
@@ -209,9 +184,9 @@ def verify_all_relations(
                 for (x, y, z), expected in zip(
                     itertools.permutations((u, v, w)), expectations
                 ):
-                    xy = la.mat_mul(ts[x].entries, ts[y].entries)
-                    yz = la.mat_mul(ts[y].entries, ts[z].entries)
-                    zx = la.mat_mul(ts[z].entries, ts[x].entries)
+                    xy = la.mat_mul(ts[x], ts[y])
+                    yz = la.mat_mul(ts[y], ts[z])
+                    zx = la.mat_mul(ts[z], ts[x])
                     holds = la.mat_mul(xy, zx) == la.mat_mul(yz, xy)
                     if holds != expected:
                         report.triangle_failures.append((x, y, z))
@@ -228,12 +203,12 @@ def conjugacy_witnesses(
 
     Every witness is verified by exact multiplication before returning.
     """
-    verts = _vertices(q)
+    verts = vertices(q.source.k)
     if root is None:
         root = verts[0]
     root = tuple(root)
     ts = {v: transvection(q, v, sign) for v in verts}
-    inv = {v: transvection_inverse(q, v, sign) for v in verts}
+    inv = {v: transvection(q, v, -sign) for v in verts}
     words: dict[Vertex, tuple[Vertex, ...]] = {root: ()}
     queue = [root]
     while queue:
@@ -249,21 +224,19 @@ def conjugacy_witnesses(
     def word_matrix(word: Sequence[Vertex], inverse: bool = False) -> la.IntMatrix:
         m = la.identity(q.rank)
         factors = (
-            [inv[v].entries for v in reversed(word)]
-            if inverse
-            else [ts[v].entries for v in word]
+            [inv[v] for v in reversed(word)] if inverse else [ts[v] for v in word]
         )
         for f in factors:
             m = la.mat_mul(m, f)
         return m
 
-    t_root = ts[root].entries
+    t_root = ts[root]
     for v, word in words.items():
         mw = word_matrix(word)
         mw_inv = word_matrix(word, inverse=True)
         if la.mat_mul(mw, mw_inv) != la.identity(q.rank):
             raise AssertionError("word inverse failed")
-        if la.mat_mul(la.mat_mul(mw, t_root), mw_inv) != ts[v].entries:
+        if la.mat_mul(la.mat_mul(mw, t_root), mw_inv) != ts[v]:
             raise AssertionError(f"witness for {vertex_str(v)} failed verification")
     return words
 
@@ -352,7 +325,7 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
                 val ^= _pairing_mod2(gram2, members[i], members[j])
         table[m] = val
     refinement = QuadraticRefinement(rank=r, table=tuple(table), gram_mod2=gram2)
-    for v, c in zip(_vertices(q), classes):
+    for v, c in zip(vertices(q.source.k), classes):
         if refinement.table[c] != 1:
             raise RefinementError(f"class of {vertex_str(v)} gets value 0", offending=v)
     return refinement
@@ -468,8 +441,7 @@ def chain_parity_check(q: QuotientLattice) -> tuple[bool, int]:
     returns (s != 0 in the quotient, parity of <a_0111, s>)."""
     if q.source.k != 4:
         raise InvalidInputError("chain parity check is specific to k = 4")
-    verts = _vertices(q)
-    idx = {v: i for i, v in enumerate(verts)}
+    idx = {v: i for i, v in enumerate(vertices(q.source.k))}
     s = [0] * q.rank
     for v in [(0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)]:
         c = q.class_map[idx[v]]
@@ -480,14 +452,14 @@ def chain_parity_check(q: QuotientLattice) -> tuple[bool, int]:
 
 
 def rep_to_json_dict(q: QuotientLattice, g: ArtinGraph, sign: int = 1) -> dict:
-    ts = all_transvections(q, sign)
+    ts = {v: transvection(q, v, sign) for v in vertices(q.source.k)}
     words = conjugacy_witnesses(q, g, sign=sign)
     report = verify_all_relations(q, g, sign=sign)
     ref = quadratic_refinement(q)
     return {
         "sign": sign,
         "transvections": {
-            vertex_str(v): [list(r) for r in m.entries] for v, m in ts.items()
+            vertex_str(v): [list(r) for r in m] for v, m in ts.items()
         },
         "witness_words": {
             vertex_str(v): [vertex_str(u) for u in w] for v, w in words.items()

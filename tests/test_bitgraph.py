@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlat import AFFINE_CYCLE, BR8_CHAIN, InvalidInputError, build_gamma
-from twistlat.bitgraph import graph_from_json, parse_vertex, vertex_str
+from twistlat.bitgraph import parse_vertex, vertex_str
 
 
 def brute_edge(u, v):
@@ -179,18 +180,21 @@ def test_commuting_partner_witnesses():
         assert have == (not g.is_extremal(v))
 
 
-def test_commuting_partner_custom_positions():
+def test_commuting_partner_short_chain():
     g = build_gamma(4)
-    # (0011) braids with chain position 1 = (0001), so no witness there
-    assert g.commuting_partner_witness(BR8_CHAIN, (0, 0, 1, 1), positions=(1,)) is None
+    # (1111) braids with every chain vertex, so the search runs past the
+    # end of a chain shorter than seven
     with pytest.raises(InvalidInputError):
-        g.commuting_partner_witness(BR8_CHAIN, (0, 0, 1, 1), positions=(9,))
+        g.commuting_partner_witness(BR8_CHAIN[:3], (1, 1, 1, 1))
+    # (0011) commutes with position 3 before the end of the chain is reached
+    assert g.commuting_partner_witness(BR8_CHAIN[:3], (0, 0, 1, 1)) == 3
 
 
 def test_json_roundtrip_and_dot():
     g = build_gamma(3)
-    g2 = graph_from_json(g.to_json())
-    assert g2.edges == g.edges
+    data = json.loads(json.dumps(g.to_json_dict()))
+    assert tuple(parse_vertex(s) for s in data["vertices"]) == g.vertices
+    assert tuple(tuple(e) for e in data["edges"]) == g.edges
     dot = g.to_dot()
     assert dot.count("--") == len(g.edges)
     assert '"000"' in dot

