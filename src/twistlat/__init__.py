@@ -35,7 +35,6 @@ from .patterns import (
     make_pattern,
     pattern_from_json,
     pattern_from_vertices,
-    pattern_to_json,
     subpattern,
     validate_pattern,
 )
@@ -48,7 +47,6 @@ from .ribbon import (
     reflect,
     restrict,
     structure_from_json,
-    structure_to_json,
     surface_of,
 )
 from .search import (
@@ -103,14 +101,12 @@ __all__ = [
     "parse_vertex",
     "pattern_from_json",
     "pattern_from_vertices",
-    "pattern_to_json",
     "quadratic_refinement",
     "quotient_lattice",
     "radical",
     "reflect",
     "restrict",
     "structure_from_json",
-    "structure_to_json",
     "sublattice_rank",
     "subpattern",
     "surface_of",

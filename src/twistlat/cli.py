@@ -146,11 +146,7 @@ def _search_config(run: _Run, args) -> SearchConfig:
         text = bdata.raw_file(bdata.STRUCTURE_FILES[args.fixed_builtin])
         run.input_hashes[f"builtin:{args.fixed_builtin}"] = _sha256(text)
         fixed = bdata.load_structure(args.fixed_builtin)
-    order = getattr(args, "order", "given")
-    if order not in ("given", "degree"):
-        order = tuple(order.split(","))
     return SearchConfig(
-        order=order,
         threads=getattr(args, "threads", 1),
         node_cap=getattr(args, "node_cap", None),
         fixed=fixed,
@@ -802,7 +798,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     def _search_opts(p):
-        p.add_argument("--order", default="given", help='"given", "degree", or a,b,c,...')
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--node-cap", type=int)
         p.add_argument("--fixed", help="JSON file pinning a partial structure")

@@ -179,14 +179,22 @@ def pattern_to_json_dict(p: CurvePattern) -> dict:
     }
 
 
-def pattern_to_json(p: CurvePattern) -> str:
-    return json.dumps(pattern_to_json_dict(p), sort_keys=True)
+def reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`object_pairs_hook` for `json.loads`: a key given twice in one
+    object is an error, not a silent overwrite by the last value."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def pattern_from_json(payload: str | dict) -> CurvePattern:
     try:
-        data = json.loads(payload) if isinstance(payload, str) else payload
-        return make_pattern(data["curves"], data["intersections"])
+        if isinstance(payload, str):
+            payload = json.loads(payload, object_pairs_hook=reject_repeated_keys)
+        return make_pattern(payload["curves"], payload["intersections"])
     except InvalidInputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError
-from .patterns import CurvePattern, Label, require_valid, subpattern
+from .patterns import CurvePattern, Label, reject_repeated_keys, require_valid, subpattern
 
 
 @dataclass(frozen=True)
@@ -292,17 +292,14 @@ def structure_to_json_dict(r: RibbonStructure) -> dict:
     }
 
 
-def structure_to_json(r: RibbonStructure) -> str:
-    return json.dumps(structure_to_json_dict(r), sort_keys=True)
-
-
 def structure_from_json(payload: str | dict) -> RibbonStructure:
     try:
-        data = json.loads(payload) if isinstance(payload, str) else payload
-        orders = {lab: tuple(seq) for lab, seq in data["visit_orders"].items()}
-        bits = [(a, b, int(v)) for a, b, v in data["crossing_bits"]]
+        if isinstance(payload, str):
+            payload = json.loads(payload, object_pairs_hook=reject_repeated_keys)
+        orders = [(lab, tuple(seq)) for lab, seq in payload["visit_orders"].items()]
+        bits = [(a, b, int(v)) for a, b, v in payload["crossing_bits"]]
         return RibbonStructure(
-            tuple(sorted((lab, tuple(seq)) for lab, seq in orders.items())),
+            tuple(sorted(orders)),
             tuple(sorted((min(a, b), max(a, b), v) for a, b, v in bits)),
         ).canonical()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

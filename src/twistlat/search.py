@@ -1,26 +1,28 @@
 """Exact minimal-genus search over ribbon structures.
 
-Curves are inserted one at a time (configurable order).  Placing a curve
-means choosing, crossing by crossing, which partner comes next in its
-cyclic order, which arc of the partner the crossing subdivides, and the
-crossing's orientation bit.  After every placement the partial ribbon
-graph's neighborhood genus is recomputed; since a sub-ribbon-graph's
-neighborhood embeds in any completion's neighborhood, the partial genus is
-a valid lower bound and branches exceeding the budget (or the best leaf so
-far) are pruned.  "Exceeds" verdicts are issued only after the pruned tree
-is exhausted (or when the budget is already below the homology bound);
-exact minima are certified early once some structure reaches the homology
-bound, since nothing can lie below it.  There is one search mode: it stops
-once a structure has genus <= a stop genus.  `min_genus` stops at the
-homology bound; `is_realizable(p, g)` is the same search stopped at g, so
-it ends at the first structure within the budget.
+Curves are inserted one at a time, in pattern order with pinned curves
+first.  Placing a curve means choosing, crossing by crossing, which
+partner comes next in its cyclic order, which arc of the partner the
+crossing subdivides, and the crossing's orientation bit.  After every
+placement the partial ribbon graph's neighborhood genus is recomputed;
+since a sub-ribbon-graph's neighborhood embeds in any completion's
+neighborhood, the partial genus is a valid lower bound and branches
+exceeding the budget (or the best leaf so far) are pruned.  "Exceeds"
+verdicts are issued only after the pruned tree is exhausted (or when the
+budget is already below the homology bound or the pinned structure's own
+genus); exact minima are certified early once some structure reaches the
+homology bound, since nothing can lie below it.  There is one search mode:
+it stops once a structure has genus <= a stop genus.  `min_genus` stops at
+the homology bound; `is_realizable(p, g)` is the same search stopped at g,
+so it ends at the first structure within the budget.
 
 The internal state is orientation-free: rotations live on slot pairs
 created in insertion order, so the per-curve orientation redundancy of the
 external (visit order, bits) encoding never enters the tree.  On top of
 that, each cyclic order is anchored at the lowest-labeled partner, a newly
-inserted curve's cyclic order is enumerated up to reversal, and one bit per
-pattern component is pinned to quotient out the mirror image.
+inserted curve's cyclic order is enumerated up to reversal, and an unpinned
+search (always of one connected component) pins the bit of its first
+crossing to quotient out the mirror image.
 
 Every run is decomposed into top-level branches (decision-path prefixes
 collected at the shallowest depth holding ``_BRANCH_TARGET`` of them, a
@@ -70,7 +72,6 @@ class _Halted(Exception):
 class SearchConfig:
     """Knobs for the branch-and-bound search."""
 
-    order: str | tuple[Label, ...] = "given"  # "given", "degree", or explicit
     threads: int = 1
     node_cap: Optional[int] = None
     fixed: Optional[RibbonStructure] = None  # pinned partial structure
@@ -132,7 +133,6 @@ class _Engine:
     def __init__(
         self,
         pattern: CurvePattern,
-        order: Sequence[Label],
         budget: int,
         stop_genus: int,
         fixed: Optional[RibbonStructure] = None,
@@ -142,29 +142,27 @@ class _Engine:
         self.budget = budget
         self.node_cap = node_cap
         self.stop_genus = stop_genus  # stop once a structure has genus <= it
-        self.order = [pattern.index(lab) for lab in order]
 
-        self.fixed_labels: set[Label] = set()
-        if fixed is not None:
-            self.fixed_labels = {lab for lab, _ in fixed.visit_orders}
-            missing = self.fixed_labels - set(pattern.curves)
-            if missing:
-                raise InvalidInputError(f"fixed structure names unknown curves {missing}")
-            fixed_first = [
-                i for i in self.order if pattern.curves[i] in self.fixed_labels
-            ]
-            rest = [i for i in self.order if pattern.curves[i] not in self.fixed_labels]
-            self.order = fixed_first + rest
+        pinned = {lab for lab, _ in fixed.visit_orders} if fixed is not None else set()
         # reflection pinning is a symmetry quotient only without a pinned
-        # prefix, so a pinned search has no anchor pairs
-        self.anchor_pairs: set[tuple[int, int]] = set()
-        if fixed is None:
-            for comp in pattern.components():
-                pairs = [
-                    (i, j) for i in comp for j in comp if i < j and pattern.inter[i][j]
-                ]
-                if pairs:
-                    self.anchor_pairs.add(min(pairs))
+        # prefix; an unpinned engine always gets a connected pattern
+        self.anchor = None if fixed is not None else min(pattern.crossings())
+        # the insertion plan: per position in pattern order, pinned curves
+        # first, the curve, its inserted partners and whether to skip
+        # reversed cyclic orders; None for a curve with nothing to place
+        self.plan: list[Optional[tuple[int, tuple[int, ...], bool]]] = []
+        order = sorted(
+            range(len(pattern.curves)), key=lambda i: pattern.curves[i] not in pinned
+        )
+        inserted: set[int] = set()
+        for c in order:
+            partners = tuple(sorted(inserted.intersection(pattern.neighbors(c))))
+            inserted.add(c)
+            if pattern.curves[c] in pinned or not partners:
+                self.plan.append(None)
+            else:
+                filter_ok = len(partners) >= 3 and c not in (self.anchor or ())
+                self.plan.append((c, partners, filter_ok))
 
         # dynamic state
         self.cross: list[tuple[int, int]] = []  # (curve_lo, curve_hi)
@@ -187,7 +185,7 @@ class _Engine:
         self._path: list[int] = []
 
         if fixed is not None:
-            self._load_fixed(fixed)
+            self._load_fixed(sorted(pinned), fixed)
 
     # -- low-level journaled mutations ---------------------------------------
 
@@ -412,18 +410,10 @@ class _Engine:
             bits[key] = 0 if succ_of_lo_in == s_in_hi else 1
         return make_structure(p, orders, bits)
 
-    def _load_fixed(self, fixed: RibbonStructure) -> None:
-        """Install a complete structure on the fixed sub-pattern."""
-        sub = subpattern(self.p, sorted(self.fixed_labels))
-        if set(sub.curves) != self.fixed_labels:
-            raise InvalidInputError(
-                "fixed structure isolates some of its own curves"
-            )
-        problems = validate_structure(sub, fixed)
-        if problems:
-            raise InvalidInputError(
-                "fixed structure invalid on its sub-pattern: " + "; ".join(problems)
-            )
+    def _load_fixed(self, labels: list[Label], fixed: RibbonStructure) -> None:
+        """Install a complete structure on the sub-pattern of ``labels``,
+        which `_search` has validated."""
+        sub = subpattern(self.p, labels)
         order_map = dict(fixed.visit_orders)
         bit_map = fixed.bits()
         xid: dict[tuple[int, int], int] = {}
@@ -448,8 +438,6 @@ class _Engine:
                 d_in = self._dart(nx, self._side_of(nx, ci), 0)
                 self._link(d_out, d_in)
                 self._arc_insert(ci, len(self.arcs[ci]), (d_out, d_in))
-        if self.total_genus() > self.budget:
-            raise InvalidInputError("fixed structure already exceeds the genus budget")
 
     # -- search -----------------------------------------------------------------
 
@@ -500,26 +488,18 @@ class _Engine:
     def _dfs_curve(self, k: int) -> None:
         if self._stopped():
             return
-        if k == len(self.order):
+        if k == len(self.plan):
             self._leaf()
             return
-        c = self.order[k]
-        if self.p.curves[c] in self.fixed_labels:
+        step = self.plan[k]
+        if step is None:
             self._dfs_curve(k + 1)
             return
-        # pinned curves come first in the order, so this includes them
-        inserted = set(self.order[:k])
-        partners = sorted(j for j in self.p.neighbors(c) if j in inserted)
-        if not partners:
-            self._dfs_curve(k + 1)
-            return
-        filter_ok = len(partners) >= 3 and not any(
-            (min(c, q), max(c, q)) in self.anchor_pairs for q in self.p.neighbors(c)
-        )
+        c, partners, filter_ok = step
         self._dfs_place(c, k, partners[0], partners[1:], [], None, filter_ok)
 
     def _bit_choices(self, c: int, q: int) -> tuple[int, ...]:
-        if (min(c, q), max(c, q)) in self.anchor_pairs:
+        if (min(c, q), max(c, q)) == self.anchor:
             return (0,)
         return (0, 1)
 
@@ -597,20 +577,6 @@ class _Engine:
 # branch orchestration
 
 
-def _resolve_order(p: CurvePattern, order) -> list[Label]:
-    if order == "given":
-        return list(p.curves)
-    if order == "degree":
-        return sorted(p.curves, key=lambda lab: (-p.degree(lab), p.index(lab)))
-    # explicit order; may name a superset (component runs receive the full
-    # pattern's order and keep only their own curves)
-    own = set(p.curves)
-    labs = [lab for lab in order if lab in own]
-    if sorted(labs) != sorted(p.curves):
-        raise InvalidInputError("explicit order must cover every curve exactly once")
-    return labs
-
-
 def _init_worker(halt) -> None:
     global _halt
     _halt = halt
@@ -642,13 +608,11 @@ def _run_pattern(
     tree, and ``stop_genus = budget`` stops at the first structure within
     the budget.
     """
-    order_labels = _resolve_order(p, config.order)
     # the engine lays out a pinned curve's arcs from the first entry of its
     # cyclic order, so pin the canonical rotation
     fixed = config.fixed.canonical() if config.fixed is not None else None
     spec = dict(
         pattern=p,
-        order=order_labels,
         budget=budget,
         fixed=fixed,
         stop_genus=stop_genus,
@@ -797,11 +761,18 @@ def _search(
             note=note,
         )
 
+    if config.fixed is not None:
+        pin = _pinned_subpattern(p, config.fixed)
+
     lb = f2_genus_lower_bound(p)
     if budget < lb:
         return exceeds(f"budget below homology lower bound {lb}")
 
     if config.fixed is not None:
+        # a completion's genus is at least its pin's, as in the pruning
+        pin_genus = surface_of(pin, config.fixed).total_genus
+        if pin_genus > budget:
+            return exceeds(f"pinned structure alone has genus {pin_genus}")
         comps = [tuple(range(len(p.curves)))]
     else:
         comps = list(p.components())
@@ -850,6 +821,24 @@ def _search(
         wall_time_s=time.time() - t0,
         note="; ".join(sorted(set(notes))),
     )
+
+
+def _pinned_subpattern(p: CurvePattern, fixed: RibbonStructure) -> CurvePattern:
+    """The sub-pattern a pinned structure covers, after checking that the
+    structure is a complete, valid structure on it."""
+    labels = {lab for lab, _ in fixed.visit_orders}
+    missing = labels - set(p.curves)
+    if missing:
+        raise InvalidInputError(f"fixed structure names unknown curves {missing}")
+    sub = subpattern(p, sorted(labels))
+    if set(sub.curves) != labels:
+        raise InvalidInputError("fixed structure isolates some of its own curves")
+    problems = validate_structure(sub, fixed)
+    if problems:
+        raise InvalidInputError(
+            "fixed structure invalid on its sub-pattern: " + "; ".join(problems)
+        )
+    return sub
 
 
 def _merge_witnesses(

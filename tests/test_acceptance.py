@@ -353,9 +353,12 @@ def test_c5_realizability_small():
         order = list(p.curves)
         rng.shuffle(order)
         relabeled = relabel(p, {lab: f"c{i}_{lab}" for i, lab in enumerate(p.curves)})
-        invariant &= min_genus(p, config=SearchConfig(order=tuple(order))).genus == base
+        by_degree = sorted(p.curves, key=lambda lab: (-p.degree(lab), p.index(lab)))
         invariant &= min_genus(relabeled).genus == base
-        invariant &= min_genus(p, config=SearchConfig(order="degree")).genus == base
+        # the search inserts curves in pattern order: list them in two others
+        crossings = [(p.curves[i], p.curves[j]) for i, j in p.crossings()]
+        for labels in (order, by_degree):
+            invariant &= min_genus(make_pattern(labels, crossings)).genus == base
     ok &= line("c5 invariance", invariant, "relabeling and insertion order")
     print(f"c5 wall time {time.time() - t0:.2f}s (budget 60s)")
     assert ok

@@ -10,7 +10,7 @@ import pytest
 from twistlat.bitgraph import build_gamma
 from twistlat.builtin import STRUCTURE_FILES, raw_file
 from twistlat.cli import _build_parser, main
-from twistlat.patterns import pattern_from_json, pattern_to_json
+from twistlat.patterns import pattern_from_json, pattern_to_json_dict
 
 
 def _duplicated_crossing_pin():
@@ -18,6 +18,14 @@ def _duplicated_crossing_pin():
     data = json.loads(raw_file(STRUCTURE_FILES["u-placement"]))
     data["crossing_bits"].append(["a", "b", 1])
     return json.dumps(data)
+
+
+def _repeated_key_pin():
+    """u-placement with curve c given a second, reversed visit order; the
+    repeated key comes first, so keeping the last value reads u-placement."""
+    data = json.loads(raw_file(STRUCTURE_FILES["u-placement"]))
+    again = json.dumps(data["visit_orders"]["c"][::-1])
+    return json.dumps(data).replace('"visit_orders": {', '"visit_orders": {"c": %s, ' % again)
 
 
 def run_cli(capsys, *argv):
@@ -261,7 +269,7 @@ def test_pattern_file_roundtrip(tmp_path, capsys):
     code, data = run_json(capsys, "realize", "validate", "--builtin", "cycle8")
     text = json.dumps(data["pattern"], sort_keys=True)
     p = pattern_from_json(text)
-    assert pattern_to_json(p) == pattern_to_json(pattern_from_json(pattern_to_json(p)))
+    assert json.dumps(pattern_to_json_dict(p), sort_keys=True) == text
 
 
 def test_missing_pattern_argument(capsys):
@@ -339,6 +347,25 @@ def test_manifests_identical_modulo_timing(capsys):
             _duplicated_crossing_pin(),
             2,
         ),
+        # the same pin where the homology bound alone answers: still checked
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "1")
+            + ("--fixed", "{file}"),
+            _duplicated_crossing_pin(),
+            2,
+        ),
+        # a key repeated in one JSON object, in a pin and in a pattern
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "1")
+            + ("--fixed", "{file}"),
+            _repeated_key_pin(),
+            2,
+        ),
+        (
+            ("realize", "bound", "--pattern", "{file}"),
+            '{"curves": ["x", "y", "z"], "curves": ["x", "y"], "intersections": [["x", "y"]]}',
+            2,
+        ),
     ],
     ids=[
         "lattice-subset",
@@ -356,6 +383,9 @@ def test_manifests_identical_modulo_timing(capsys):
         "pattern-and-builtin",
         "fixed-and-fixed-builtin",
         "fixed-duplicate-crossing",
+        "fixed-duplicate-crossing-below-bound",
+        "fixed-repeated-key",
+        "pattern-repeated-key",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):

@@ -9,7 +9,6 @@ from twistlat import (
     make_pattern,
     pattern_from_json,
     pattern_from_vertices,
-    pattern_to_json,
     subpattern,
     validate_pattern,
 )
@@ -19,7 +18,7 @@ from twistlat.builtin import (
     derive_pattern,
     load_pattern,
 )
-from twistlat.patterns import CurvePattern, relabel
+from twistlat.patterns import CurvePattern, pattern_to_json_dict, relabel
 
 
 def f2_rank_oracle(rows):
@@ -137,9 +136,9 @@ def test_relabel():
 
 def test_json_roundtrip_bit_identical():
     p = load_pattern("curves12")
-    text = pattern_to_json(p)
+    text = json.dumps(pattern_to_json_dict(p), sort_keys=True)
     p2 = pattern_from_json(text)
-    assert pattern_to_json(p2) == text
+    assert json.dumps(pattern_to_json_dict(p2), sort_keys=True) == text
     assert p2.inter == p.inter
     with pytest.raises(InvalidInputError):
         pattern_from_json(json.dumps({"curves": ["a"]}))

@@ -46,6 +46,12 @@ def random_pattern(rng, max_crossings=8):
             return p
 
 
+def reordered(p, labels):
+    """The same pattern with its curves listed in the order `labels`; the
+    search inserts curves in pattern order, so this changes the tree."""
+    return make_pattern(labels, [(p.curves[i], p.curves[j]) for i, j in p.crossings()])
+
+
 def test_pair_exact_one():
     p = make_pattern(["x", "y"], [("x", "y")])
     r = min_genus(p, budget=5)
@@ -115,8 +121,13 @@ def test_insertion_order_invariance():
         base = min_genus(p).genus
         order = list(p.curves)
         rng.shuffle(order)
-        assert min_genus(p, config=SearchConfig(order=tuple(order))).genus == base
-        assert min_genus(p, config=SearchConfig(order="degree")).genus == base
+        by_degree = sorted(p.curves, key=lambda lab: (-p.degree(lab), p.index(lab)))
+        for labels in (order, by_degree):
+            q = reordered(p, labels)
+            r = min_genus(q)
+            assert r.genus == base
+            # bits follow pattern order, so the witness is q's
+            assert surface_of(q, r.witness).total_genus == base
 
 
 def test_additivity_on_disconnected():
@@ -298,11 +309,29 @@ def test_fixed_prefix_constrains_search():
 
 
 def test_fixed_prefix_validation():
+    """A pin is checked before any bound: one naming a curve the pattern
+    lacks is invalid even at a budget the homology bound already decides."""
     p = load_pattern("curves11")
     fixed = load_structure("u-placement")
-    with pytest.raises(InvalidInputError):
-        # the pinned structure already has genus 5, above this budget
-        min_genus(p, 4, SearchConfig(fixed=fixed))
+    stray = twistlat.RibbonStructure(
+        fixed.visit_orders + (("zz", ()),), fixed.crossing_bits
+    )
+    for budget in (0, 5):
+        with pytest.raises(InvalidInputError, match="unknown curves"):
+            min_genus(p, budget, SearchConfig(fixed=stray))
+
+
+@pytest.mark.parametrize("name", ["curves11", "curves12"])
+def test_pin_above_budget_exceeds_without_search(name):
+    """u-placement alone has genus 5, and a completion's genus is at least
+    its pin's: every budget up to 4 is `exceeds` with no node explored,
+    whether the homology bound (4) or the pin's genus decides it."""
+    p = load_pattern(name)
+    cfg = SearchConfig(fixed=load_structure("u-placement"))
+    for budget in range(5):
+        for res in (min_genus(p, budget, cfg), is_realizable(p, budget, cfg)):
+            assert (res.kind, res.nodes_explored, res.exhausted) == ("exceeds", 0, True)
+    assert min_genus(p, 4, cfg).note == "pinned structure alone has genus 5"
 
 
 def test_witness_round_trips_through_fixed_loader():
@@ -381,8 +410,6 @@ def test_invalid_inputs():
         min_genus(p, budget=-1)
     with pytest.raises(InvalidInputError, match="genus"):
         is_realizable(p, -1)
-    with pytest.raises(InvalidInputError):
-        min_genus(p, config=SearchConfig(order=("x",)))
     bad = make_pattern(["x", "y", "z"], [("x", "y")])
     with pytest.raises(InvalidInputError):
         min_genus(bad)  # isolated curve rejected by validation
