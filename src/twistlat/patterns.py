@@ -109,13 +109,27 @@ def require_valid(p: CurvePattern) -> CurvePattern:
     return p
 
 
+def require_list(value, what: str) -> list | tuple:
+    """``value`` itself when it is a list or tuple: a string is not read
+    character by character where a list is meant."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def make_pattern(curves: Sequence[Label], meeting_pairs) -> CurvePattern:
     """Build a pattern from the list of intersecting label pairs."""
-    curves = tuple(curves)
+    curves = tuple(require_list(curves, "curves"))
+    for c in curves:
+        if not isinstance(c, str):
+            raise InvalidInputError(f"curve label {c!r} is not a string")
     idx = {c: i for i, c in enumerate(curves)}
     n = len(curves)
     m = [[0] * n for _ in range(n)]
-    for a, b in meeting_pairs:
+    for pair in require_list(meeting_pairs, "intersections"):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidInputError(f"an intersection must be a pair, not {pair!r}")
+        a, b = pair
         if a not in idx or b not in idx:
             raise InvalidInputError(f"unknown label in pair ({a!r},{b!r})")
         if a == b:

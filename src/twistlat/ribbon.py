@@ -24,7 +24,14 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError
-from .patterns import CurvePattern, Label, reject_repeated_keys, require_valid, subpattern
+from .patterns import (
+    CurvePattern,
+    Label,
+    reject_repeated_keys,
+    require_list,
+    require_valid,
+    subpattern,
+)
 
 
 @dataclass(frozen=True)
@@ -296,8 +303,19 @@ def structure_from_json(payload: str | dict) -> RibbonStructure:
     try:
         if isinstance(payload, str):
             payload = json.loads(payload, object_pairs_hook=reject_repeated_keys)
-        orders = [(lab, tuple(seq)) for lab, seq in payload["visit_orders"].items()]
-        bits = [(a, b, int(v)) for a, b, v in payload["crossing_bits"]]
+        orders = [
+            (lab, tuple(require_list(seq, f"visit order of {lab!r}")))
+            for lab, seq in payload["visit_orders"].items()
+        ]
+        bits = []
+        for entry in require_list(payload["crossing_bits"], "crossing_bits"):
+            a, b, v = require_list(entry, "a crossing bit")
+            # bool is a subclass of int, so the type is tested exactly
+            if type(v) is not int or v not in (0, 1):
+                raise InvalidInputError(
+                    f"bit of crossing ({a!r}, {b!r}) must be the integer 0 or 1, not {v!r}"
+                )
+            bits.append((a, b, v))
         return RibbonStructure(
             tuple(sorted(orders)),
             tuple(sorted((min(a, b), max(a, b), v) for a, b, v in bits)),

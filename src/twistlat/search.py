@@ -4,10 +4,15 @@ Curves are inserted one at a time, in pattern order with pinned curves
 first.  Placing a curve means choosing, crossing by crossing, which
 partner comes next in its cyclic order, which arc of the partner the
 crossing subdivides, and the crossing's orientation bit.  After every
-placement the partial ribbon graph's neighborhood genus is recomputed;
-since a sub-ribbon-graph's neighborhood embeds in any completion's
-neighborhood, the partial genus is a valid lower bound and branches
-exceeding the budget (or the best leaf so far) are pruned.  "Exceeds"
+placement the partial ribbon graph's neighborhood genus is updated from
+the links it adds, by Euler's formula: subdividing an arc, or a loop at a
+crossing with no links yet, keeps the genus; a link joining two components
+keeps it; a link within one component raises it by 1 exactly when its two
+corners lie on different faces, which one face walk decides.  Since a
+sub-ribbon-graph's neighborhood embeds in any completion's neighborhood,
+the partial genus is a valid lower bound and branches exceeding the budget
+(or the best leaf so far) are pruned.  Every leaf within the budget is
+re-traced by `ribbon.surface_of`, which must agree.  "Exceeds"
 verdicts are issued only after the pruned tree is exhausted (or when the
 budget is already below the homology bound or the pinned structure's own
 genus); exact minima are certified early once some structure reaches the
@@ -62,6 +67,27 @@ _BRANCH_TARGET = 16
 # set only in pool workers (`_init_worker`); the parent raises it to halt
 # the branches they are still running
 _halt = None
+
+
+def _next_linked_table() -> tuple[tuple[int, ...], ...]:
+    """Row ``16 * bit + mask`` gives, for each dart offset at a crossing,
+    the offset of the next linked dart (a ``mask`` bit) in the rotation, or
+    the offset itself when no other dart is linked.  A crossing with bit b
+    has the rotation of offsets (0, 2 + b, 1, 3 - b)."""
+    rows = []
+    for row in range(32):
+        bitv, mask = divmod(row, 16)
+        cyc = (0, 2 + bitv, 1, 3 - bitv)
+        nxt = []
+        for off in range(4):
+            pos = cyc.index(off)
+            later = [cyc[(pos + step) & 3] for step in (1, 2, 3)]
+            nxt.append(next((o for o in later if mask >> o & 1), off))
+        rows.append(tuple(nxt))
+    return tuple(rows)
+
+
+_NEXT_LINKED = _next_linked_table()
 
 
 class _Halted(Exception):
@@ -168,6 +194,12 @@ class _Engine:
         self.cross: list[tuple[int, int]] = []  # (curve_lo, curve_hi)
         self.bit: list[int] = []
         self.link: list[int] = []  # dart -> dart | -1
+        # per crossing: 16 * bit + mask of linked darts, a _NEXT_LINKED row
+        self.row: list[int] = []
+        # components: union by size, no path compression, undone by rewind
+        self.parent: list[int] = []
+        self.size: list[int] = []
+        self.genus = 0  # total genus of the partial ribbon graph
         self.arcs: dict[int, list[tuple[int, int]]] = {
             i: [] for i in range(len(pattern.curves))
         }
@@ -200,15 +232,70 @@ class _Engine:
             return 1
         raise AssertionError("curve not at crossing")
 
-    def _link(self, d1: int, d2: int) -> None:
+    def _attach(self, d1: int, d2: int) -> None:
         self.link[d1] = d2
         self.link[d2] = d1
+        self.row[d1 >> 2] |= 1 << (d1 & 3)
+        self.row[d2 >> 2] |= 1 << (d2 & 3)
+
+    def _detach(self, d1: int, d2: int) -> None:
+        self.link[d1] = -1
+        self.link[d2] = -1
+        self.row[d1 >> 2] &= ~(1 << (d1 & 3))
+        self.row[d2 >> 2] &= ~(1 << (d2 & 3))
+
+    def _link(self, d1: int, d2: int) -> None:
+        self._attach(d1, d2)
         self.journal.append(("unlink", d1, d2))
 
     def _unlink(self, d1: int, d2: int) -> None:
-        self.link[d1] = -1
-        self.link[d2] = -1
+        self._detach(d1, d2)
         self.journal.append(("link", d1, d2))
+
+    def _find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def _union(self, r1: int, r2: int) -> None:
+        """Merge the components of roots ``r1`` and ``r2``."""
+        size = self.size
+        if size[r1] < size[r2]:
+            r1, r2 = r2, r1
+        self.parent[r2] = r1
+        size[r1] += size[r2]
+        self.journal.append(("split", r1, r2))
+
+    def _same_face(self, d1: int, d2: int) -> bool:
+        """Whether the corners that open darts ``d1`` and ``d2`` would be
+        linked into lie on one face: a corner is named by the next linked
+        dart in the rotation, and one face walk looks for the second."""
+        link, row, nxt = self.link, self.row, _NEXT_LINKED
+        start = (d1 & ~3) | nxt[row[d1 >> 2]][d1 & 3]
+        goal = (d2 & ~3) | nxt[row[d2 >> 2]][d2 & 3]
+        d = start
+        while d != goal:
+            e = link[d]
+            d = (e & ~3) | nxt[row[e >> 2]][e & 3]
+            if d == start:
+                return False
+        return True
+
+    def _join(self, d1: int, d2: int) -> None:
+        """Link two open darts, keeping the genus by Euler's formula: a
+        link between components keeps it, and a link within one raises it
+        by 1 when its corners lie on different faces.  A dart at a crossing
+        with no links yet lies in a component of its own, unless both darts
+        are at that crossing: a loop there keeps the genus."""
+        x1, x2 = d1 >> 2, d2 >> 2
+        r1, r2 = self._find(x1), self._find(x2)
+        if r1 != r2:
+            self._union(r1, r2)
+        elif self.row[x1] & 15 and not self._same_face(d1, d2):
+            self.journal.append(("genus", self.genus))
+            self.genus += 1
+        self._link(d1, d2)
 
     def _arc_insert(self, curve: int, pos: int, arc: tuple[int, int]) -> None:
         self.arcs[curve].insert(pos, arc)
@@ -224,6 +311,9 @@ class _Engine:
         self.cross.append((min(ci, cj), max(ci, cj)))
         self.bit.append(bitv)
         self.link.extend((-1, -1, -1, -1))
+        self.row.append(16 * bitv)
+        self.parent.append(x)
+        self.size.append(1)
         self.journal.append(("pop_crossing",))
         return x
 
@@ -231,26 +321,32 @@ class _Engine:
         return len(self.journal)
 
     def _rewind(self, token: int) -> None:
-        link = self.link
-        while len(self.journal) > token:
-            op = self.journal.pop()
+        journal = self.journal
+        while len(journal) > token:
+            op = journal.pop()
             tag = op[0]
-            if tag == "link":
-                _, d1, d2 = op
-                link[d1] = d2
-                link[d2] = d1
-            elif tag == "unlink":
-                _, d1, d2 = op
-                link[d1] = -1
-                link[d2] = -1
+            # the tags in falling order of frequency
+            if tag == "unlink":
+                self._detach(op[1], op[2])
             elif tag == "arc_pop":
                 self.arcs[op[1]].pop(op[2])
-            elif tag == "arc_put":
-                self.arcs[op[1]].insert(op[2], op[3])
+            elif tag == "split":
+                _, r1, r2 = op
+                self.parent[r2] = r2
+                self.size[r1] -= self.size[r2]
             elif tag == "pop_crossing":
                 self.cross.pop()
                 self.bit.pop()
-                del link[-4:]
+                self.row.pop()
+                self.parent.pop()
+                self.size.pop()
+                del self.link[-4:]
+            elif tag == "link":
+                self._attach(op[1], op[2])
+            elif tag == "arc_put":
+                self.arcs[op[1]].insert(op[2], op[3])
+            elif tag == "genus":
+                self.genus = op[1]
             else:
                 raise AssertionError(f"unknown journal op {tag}")
 
@@ -272,21 +368,24 @@ class _Engine:
         d1 = self._dart(x, side_p, 1)
         p_arcs = self.arcs[partner]
         if p_arcs:
+            # subdividing an arc keeps the genus
             d_a, d_b = self._arc_remove(partner, gap)
             self._unlink(d_a, d_b)
             self._link(d_a, d0)
             self._link(d1, d_b)
+            self._union(self._find(d_a >> 2), x)
             self._arc_insert(partner, gap, (d_a, d0))
             self._arc_insert(partner, gap + 1, (d1, d_b))
         else:
-            # partner's first crossing: its closed curve becomes a loop arc
+            # partner's first crossing: its closed curve becomes a loop arc,
+            # which keeps the genus
             self._link(d1, d0)
             self._arc_insert(partner, 0, (d1, d0))
         if not is_first:
             prev = strand[-1]
             d_out = self._dart(prev, self._side_of(prev, c), 1)
             d_in = self._dart(x, side_c, 0)
-            self._link(d_out, d_in)
+            self._join(d_out, d_in)
             self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
         strand.append(x)
 
@@ -294,63 +393,8 @@ class _Engine:
         first, last = strand[0], strand[-1]
         d_out = self._dart(last, self._side_of(last, c), 1)
         d_in = self._dart(first, self._side_of(first, c), 0)
-        self._link(d_out, d_in)
+        self._join(d_out, d_in)
         self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
-
-    # -- tracing ---------------------------------------------------------------
-
-    def _sigma(self, d: int) -> int:
-        x, off = divmod(d, 4)
-        b = self.bit[x]
-        base = 4 * x
-        cyc = (base, base + 2 + b, base + 1, base + 3 - b)
-        pos = 0 if off == 0 else (2 if off == 1 else (1 if off == 2 + b else 3))
-        link = self.link
-        for step in (1, 2, 3):
-            cand = cyc[(pos + step) & 3]
-            if link[cand] != -1:
-                return cand
-        return d
-
-    def total_genus(self) -> int:
-        """Sum of component genera of the current partial ribbon graph:
-        (2*components - faces - V + E) / 2."""
-        nv = len(self.cross)
-        if nv == 0:
-            return 0
-        link = self.link
-        linked = [d for d in range(4 * nv) if link[d] != -1]
-        ne = len(linked) // 2
-        sigma = self._sigma
-        seen = set()
-        faces = 0
-        for d0 in linked:
-            if d0 in seen:
-                continue
-            faces += 1
-            d = d0
-            while True:
-                seen.add(d)
-                d = sigma(link[d])
-                if d == d0:
-                    break
-        parent = list(range(nv))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for d in linked:
-            ra, rb = find(d // 4), find(link[d] // 4)
-            if ra != rb:
-                parent[ra] = rb
-        ncomp = len({find(t) for t in range(nv)})
-        g2 = 2 * ncomp - faces - nv + ne
-        if g2 % 2 or g2 < 0:
-            raise AssertionError("inconsistent trace")
-        return g2 // 2
 
     # -- external structure extraction / loading -------------------------------
 
@@ -436,7 +480,7 @@ class _Engine:
                 x, nx = ids[t], ids[(t + 1) % m]
                 d_out = self._dart(x, self._side_of(x, ci), 1)
                 d_in = self._dart(nx, self._side_of(nx, ci), 0)
-                self._link(d_out, d_in)
+                self._join(d_out, d_in)
                 self._arc_insert(ci, len(self.arcs[ci]), (d_out, d_in))
 
     # -- search -----------------------------------------------------------------
@@ -515,7 +559,7 @@ class _Engine:
                 if counted:
                     self.nodes += 1
                     self._check_cap()
-                if self.total_genus() <= self._cutoff():
+                if self.genus <= self._cutoff():
                     self._dfs_curve(k + 1)
                 self._rewind(tok)
                 self._path.pop()
@@ -539,7 +583,7 @@ class _Engine:
             if counted:
                 self.nodes += 1
                 self._check_cap()
-            if self.total_genus() <= self._cutoff():
+            if self.genus <= self._cutoff():
                 nxt_remaining = (
                     remaining
                     if forced_next is not None
@@ -561,7 +605,7 @@ class _Engine:
                 return
 
     def _leaf(self) -> None:
-        g = self.total_genus()
+        g = self.genus
         if g > self.budget:
             return
         witness = self.extract_structure()

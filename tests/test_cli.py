@@ -366,6 +366,40 @@ def test_manifests_identical_modulo_timing(capsys):
             '{"curves": ["x", "y", "z"], "curves": ["x", "y"], "intersections": [["x", "y"]]}',
             2,
         ),
+        # a string where a list or a pair is meant is not read letter by letter
+        (
+            ("realize", "min-genus", "--pattern", "{file}"),
+            '{"curves": "xy", "intersections": ["xy"]}',
+            2,
+        ),
+        (
+            ("realize", "min-genus", "--pattern", "{file}"),
+            '{"curves": ["x", "y"], "intersections": ["xy"]}',
+            2,
+        ),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--fixed", "{file}"),
+            '{"visit_orders": {"a": "b", "b": ["a"]}, "crossing_bits": [["a", "b", 0]]}',
+            2,
+        ),
+        # a curve label is a string: witnesses sort labels, and 2 < "x" fails
+        (
+            ("realize", "min-genus", "--pattern", "{file}"),
+            '{"curves": ["x", 2], "intersections": [["x", 2]]}',
+            2,
+        ),
+        # a crossing bit is the JSON integer 0 or 1
+        *(
+            (
+                ("realize", "check", "--builtin", "chain7", "--genus", "3")
+                + ("--fixed", "{file}"),
+                '{"visit_orders": {"a": ["b"], "b": ["a"]}, "crossing_bits": [["a", "b", %s]]}'
+                % bit,
+                2,
+            )
+            for bit in ("1.9", '"1"', "true")
+        ),
     ],
     ids=[
         "lattice-subset",
@@ -386,6 +420,13 @@ def test_manifests_identical_modulo_timing(capsys):
         "fixed-duplicate-crossing-below-bound",
         "fixed-repeated-key",
         "pattern-repeated-key",
+        "pattern-curves-string",
+        "pattern-pair-string",
+        "fixed-order-string",
+        "pattern-label-number",
+        "fixed-bit-float",
+        "fixed-bit-string",
+        "fixed-bit-bool",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):

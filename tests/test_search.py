@@ -105,6 +105,100 @@ def test_matches_naive_on_random_patterns():
                 assert surface_of(p, res.witness).total_genus <= g
 
 
+def traced_partial_genus(eng):
+    """Total genus of an engine's partial ribbon graph, traced in full from
+    its links, crossings and bits: (2C - F - V + E) / 2 over the faces of
+    sigma o link.  At a crossing with bit b the rotation of the dart
+    offsets is (0, 2 + b, 1, 3 - b); sigma skips the unlinked darts."""
+    link, nv = eng.link, len(eng.cross)
+    linked = [d for d in range(4 * nv) if link[d] != -1]
+
+    def sigma(d):
+        x = d // 4
+        b = eng.bit[x]
+        rot = [4 * x, 4 * x + 2 + b, 4 * x + 1, 4 * x + 3 - b]
+        i = rot.index(d)
+        for step in (1, 2, 3):
+            if link[rot[(i + step) % 4]] != -1:
+                return rot[(i + step) % 4]
+        return d
+
+    seen, faces = set(), 0
+    for start in linked:
+        if start not in seen:
+            faces += 1
+            d = start
+            while d not in seen:
+                seen.add(d)
+                d = sigma(link[d])
+    neighbours = {x: set() for x in range(nv)}
+    for d in linked:
+        neighbours[d // 4].add(link[d] // 4)
+    reached, components = set(), 0
+    for x in range(nv):
+        if x not in reached:
+            components += 1
+            stack = [x]
+            reached.add(x)
+            while stack:
+                for y in neighbours[stack.pop()] - reached:
+                    reached.add(y)
+                    stack.append(y)
+    g2 = 2 * components - faces - nv + len(linked) // 2
+    assert g2 >= 0 and g2 % 2 == 0, g2
+    return g2 // 2
+
+
+@pytest.fixture
+def genus_checked(monkeypatch):
+    """Compares the engine's genus with the full trace at every node: the
+    cutoff is read exactly once per node, right after its placement."""
+    from twistlat import search
+
+    cutoff = search._Engine._cutoff
+    checks = []
+
+    def checked_cutoff(self):
+        traced = traced_partial_genus(self)
+        if self.genus != traced:
+            raise AssertionError(f"engine genus {self.genus}, traced {traced}")
+        checks.append(traced)
+        return cutoff(self)
+
+    monkeypatch.setattr(search._Engine, "_cutoff", checked_cutoff)
+    return checks
+
+
+def test_engine_genus_matches_full_trace_on_random_patterns(genus_checked):
+    rng = random.Random(7)
+    for _ in range(25):
+        p = random_pattern(rng)
+        r = min_genus(p)
+        assert surface_of(p, r.witness).total_genus == r.genus
+    assert len(genus_checked) > 25
+
+
+@pytest.mark.parametrize(
+    "name, search_fn",
+    [("curves11", is_realizable), ("curves12", min_genus)],
+    ids=["curves11-check-5", "curves12-min-genus-5"],
+)
+def test_engine_genus_matches_full_trace_when_pinned(genus_checked, name, search_fn):
+    cfg = SearchConfig(fixed=load_structure("u-placement"))
+    r = search_fn(load_pattern(name), 5, cfg)
+    assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
+    assert len(genus_checked) >= r.nodes_explored
+
+
+def test_pin_loads_at_its_own_genus():
+    from twistlat import search
+
+    p, fixed = load_pattern("curves11"), load_structure("u-placement").canonical()
+    eng = search._Engine(p, budget=5, stop_genus=5, fixed=fixed)
+    pin = subpattern(p, [lab for lab, _ in fixed.visit_orders])
+    assert eng.genus == traced_partial_genus(eng) == surface_of(pin, fixed).total_genus == 5
+
+
 def test_relabel_invariance():
     rng = random.Random(13)
     for _ in range(6):
