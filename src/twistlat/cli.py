@@ -13,7 +13,6 @@ exhaustion).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -77,7 +76,7 @@ class _Run:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         self.input_hashes: dict[str, str] = {}
         self.verdicts: dict[str, object] = {}
         self.payload: dict = {}
@@ -94,7 +93,7 @@ class _Run:
             "parameters": params,
             "version": __version__,
             "input_hashes": dict(sorted(self.input_hashes.items())),
-            "wall_time_s": round(time.time() - self.t0, 3),
+            "wall_time_s": round(time.perf_counter() - self.t0, 3),
             "verdicts": self.verdicts,
         }
 
@@ -113,13 +112,16 @@ class _Run:
         return code
 
 
-def _reject_conflicting_inputs(args) -> None:
-    """Each pair of options names one input two ways; give at most one."""
+def _check_options(args) -> None:
+    """Each pair of options names one input two ways; give at most one.
+    ``--threads`` changes nothing, but is still checked."""
     for a, b in (("pattern", "builtin"), ("fixed", "fixed_builtin")):
         if getattr(args, a, None) and getattr(args, b, None):
             raise InvalidInputError(
                 f"give --{a} or --{b.replace('_', '-')}, not both"
             )
+    if getattr(args, "threads", 1) < 1:
+        raise InvalidInputError("threads must be at least 1")
 
 
 def _load_pattern(run: _Run, args) -> CurvePattern:
@@ -147,7 +149,6 @@ def _search_config(run: _Run, args) -> SearchConfig:
         run.input_hashes[f"builtin:{args.fixed_builtin}"] = _sha256(text)
         fixed = bdata.load_structure(args.fixed_builtin)
     return SearchConfig(
-        threads=getattr(args, "threads", 1),
         node_cap=getattr(args, "node_cap", None),
         fixed=fixed,
     )
@@ -660,9 +661,8 @@ def _scoreboard(run: _Run, args) -> int:
         f"A7 chain minimal genus {res7.genus}, neighborhood (chi,b,g)=(-6,2,3)",
     )
 
-    cfg = SearchConfig(threads=args.threads)
     p10 = bdata.load_pattern("curves10")
-    r10 = is_realizable(p10, _PAPER_GENUS, cfg)
+    r10 = is_realizable(p10, _PAPER_GENUS)
     row(
         "ten-curve-realizable",
         r10.realizable and r10.witness is not None,
@@ -672,7 +672,7 @@ def _scoreboard(run: _Run, args) -> int:
     if args.fallback_only:
         p11 = bdata.load_pattern("curves11")
         fixed = bdata.load_structure("u-placement")
-        r11 = min_genus(p11, _PAPER_GENUS, dataclasses.replace(cfg, fixed=fixed))
+        r11 = min_genus(p11, _PAPER_GENUS, SearchConfig(fixed=fixed))
         ok11 = r11.kind == "exceeds" and r11.exhausted
         row(
             "eleven-curve-constrained",
@@ -683,7 +683,7 @@ def _scoreboard(run: _Run, args) -> int:
         )
     else:
         p12 = bdata.load_pattern("curves12")
-        r12 = is_realizable(p12, _PAPER_GENUS, cfg)
+        r12 = is_realizable(p12, _PAPER_GENUS)
         traced = surface_of(p12, r12.witness).total_genus if r12.witness else None
         verdict = (
             f"realizable within genus {_PAPER_GENUS}, witness traces to genus {traced}"
@@ -711,6 +711,9 @@ def _scoreboard(run: _Run, args) -> int:
 
 
 # -- argument parsing ---------------------------------------------------------------
+
+
+_THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -798,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     def _search_opts(p):
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--node-cap", type=int)
         p.add_argument("--fixed", help="JSON file pinning a partial structure")
         p.add_argument(
@@ -829,7 +832,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-paper",
         help="run the full verification pipeline and print a scoreboard",
     )
-    vp.add_argument("--threads", type=int, default=1)
+    vp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     vp.add_argument(
         "--fallback-only",
         action="store_true",
@@ -845,7 +848,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     run = _Run(args)
     try:
-        _reject_conflicting_inputs(args)
+        _check_options(args)
         code = args.func(run, args)
     except (InvalidInputError, FileNotFoundError) as exc:
         run.say(f"invalid input: {exc}")

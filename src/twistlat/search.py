@@ -29,16 +29,14 @@ inserted curve's cyclic order is enumerated up to reversal, and an unpinned
 search (always of one connected component) pins the bit of its first
 crossing to quotient out the mirror image.
 
-Every run is decomposed into top-level branches (decision-path prefixes
-collected at the shallowest depth holding ``_BRANCH_TARGET`` of them, a
-depth that depends on the input alone).  Branches are searched
-independently and never share bounds, so verdicts, node counts and
-witnesses are identical for every ``threads`` value.
+Each pattern is searched by one depth-first walk of the whole tree, which
+keeps one best genus: a witness found anywhere prunes everything after it.
+The node cap is one budget for the walk, which stops at the first node past
+it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -59,15 +57,6 @@ from .ribbon import (
     surface_of,
     validate_structure,
 )
-
-_MAX_COLLECT_DEPTH = 18
-# branches wanted per run; a constant, so the split is the same at every
-# thread count
-_BRANCH_TARGET = 16
-# set only in pool workers (`_init_worker`); the parent raises it to halt
-# the branches they are still running
-_halt = None
-
 
 def _next_linked_table() -> tuple[tuple[int, ...], ...]:
     """Row ``16 * bit + mask`` gives, for each dart offset at a crossing,
@@ -90,15 +79,10 @@ def _next_linked_table() -> tuple[tuple[int, ...], ...]:
 _NEXT_LINKED = _next_linked_table()
 
 
-class _Halted(Exception):
-    """A pool worker's branch was abandoned after the search stopped."""
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the branch-and-bound search."""
 
-    threads: int = 1
     node_cap: Optional[int] = None
     fixed: Optional[RibbonStructure] = None  # pinned partial structure
 
@@ -147,14 +131,9 @@ class SearchResult:
 
 
 class _Engine:
-    """Insertion search on one pattern.
-
-    Modes, selected by `run`:
-      * search: explore the subtree under a decision-path `prefix`
-        (replaying the prefix without counting nodes);
-      * collect: explore normally down to `collect_depth` decision points,
-        record the decision paths alive at that depth, do not descend.
-    """
+    """Insertion search on one pattern: `run` walks the whole tree depth
+    first, pruning against one best genus, until a structure reaches the
+    stop genus or the tree is exhausted."""
 
     def __init__(
         self,
@@ -209,12 +188,6 @@ class _Engine:
         # results
         self.best_genus: Optional[int] = None
         self.best_witness: Optional[RibbonStructure] = None
-
-        # mode
-        self._prefix: tuple[int, ...] = ()
-        self._collect_depth: Optional[int] = None
-        self._collected: list[tuple[int, ...]] = []
-        self._path: list[int] = []
 
         if fixed is not None:
             self._load_fixed(sorted(pinned), fixed)
@@ -485,17 +458,8 @@ class _Engine:
 
     # -- search -----------------------------------------------------------------
 
-    def run(
-        self,
-        prefix: Sequence[int] = (),
-        collect_depth: Optional[int] = None,
-    ) -> list[tuple[int, ...]]:
-        self._prefix = tuple(prefix)
-        self._collect_depth = collect_depth
-        self._collected = []
-        self._path = []
+    def run(self) -> None:
         self._dfs_curve(0)
-        return self._collected
 
     def _cutoff(self) -> int:
         if self.best_genus is None:
@@ -511,23 +475,6 @@ class _Engine:
                 f"node cap {self.node_cap} exceeded before exhaustion",
                 nodes_explored=self.nodes,
             )
-        if _halt is not None and _halt.value:
-            raise _Halted()
-
-    def _decision(self, options: int):
-        """Yield option indices for the current decision point, handling
-        prefix replay and branch collection.  Yields (index, counted)."""
-        depth = len(self._path)
-        if depth < len(self._prefix):
-            oi = self._prefix[depth]
-            if oi < options:
-                yield oi, False
-            return
-        if self._collect_depth is not None and depth >= self._collect_depth:
-            self._collected.append(tuple(self._path))
-            return
-        for oi in range(options):
-            yield oi, True
 
     def _dfs_curve(self, k: int) -> None:
         if self._stopped():
@@ -552,17 +499,13 @@ class _Engine:
             return
         if forced_next is None and not remaining:
             # closure of the strand: one forced option
-            for _oi, counted in self._decision(1):
-                self._path.append(0)
-                tok = self._mark()
-                self._close_strand(c, strand)
-                if counted:
-                    self.nodes += 1
-                    self._check_cap()
-                if self.genus <= self._cutoff():
-                    self._dfs_curve(k + 1)
-                self._rewind(tok)
-                self._path.pop()
+            tok = self._mark()
+            self._close_strand(c, strand)
+            self.nodes += 1
+            self._check_cap()
+            if self.genus <= self._cutoff():
+                self._dfs_curve(k + 1)
+            self._rewind(tok)
             return
 
         candidates = [forced_next] if forced_next is not None else list(remaining)
@@ -575,14 +518,11 @@ class _Engine:
                 for bitv in self._bit_choices(c, q):
                     options.append((q, gap, bitv))
 
-        for oi, counted in self._decision(len(options)):
-            q, gap, bitv = options[oi]
-            self._path.append(oi)
+        for q, gap, bitv in options:
             tok = self._mark()
             self._place_crossing(c, q, gap, bitv, strand, is_first=not strand)
-            if counted:
-                self.nodes += 1
-                self._check_cap()
+            self.nodes += 1
+            self._check_cap()
             if self.genus <= self._cutoff():
                 nxt_remaining = (
                     remaining
@@ -600,7 +540,6 @@ class _Engine:
                 )
             self._rewind(tok)
             strand.pop()
-            self._path.pop()
             if self._stopped():
                 return
 
@@ -617,35 +556,14 @@ class _Engine:
             self.best_witness = witness
 
 
-# ---------------------------------------------------------------------------
-# branch orchestration
-
-
-def _init_worker(halt) -> None:
-    global _halt
-    _halt = halt
-
-
-# one branch's outcome: (nodes, best genus, best witness)
-_BranchResult = tuple[int, Optional[int], Optional[RibbonStructure]]
-
-
-def _branch_worker(payload: tuple[dict, tuple[int, ...]]) -> _BranchResult:
-    spec, path = payload
-    eng = _Engine(**spec)
-    eng.run(prefix=path)
-    return eng.nodes, eng.best_genus, eng.best_witness
-
-
 def _run_pattern(
     p: CurvePattern,
     budget: int,
     config: SearchConfig,
     stop_genus: int,
 ) -> tuple[Optional[int], Optional[RibbonStructure], int, bool]:
-    """Branch-decomposed search of one pattern; deterministic across
-    thread counts.  Returns (genus, witness, nodes, exhausted) for the
-    least genus found within ``budget`` (None, None if there is none).
+    """Search one pattern.  Returns (genus, witness, nodes, exhausted) for
+    the least genus found within ``budget`` (None, None if there is none).
 
     The search stops once some structure has genus <= ``stop_genus``: a
     proven lower bound there certifies a minimum without exhausting the
@@ -655,83 +573,9 @@ def _run_pattern(
     # the engine lays out a pinned curve's arcs from the first entry of its
     # cyclic order, so pin the canonical rotation
     fixed = config.fixed.canonical() if config.fixed is not None else None
-    spec = dict(
-        pattern=p,
-        budget=budget,
-        fixed=fixed,
-        stop_genus=stop_genus,
-    )
-
-    def reached_stop(genus: Optional[int]) -> bool:
-        return genus is not None and genus <= stop_genus
-
-    # choose the branch depth: smallest depth holding >= _BRANCH_TARGET
-    # branches; the collection at that depth is the one whose work counts
-    for depth in range(1, _MAX_COLLECT_DEPTH + 1):
-        collector = _Engine(**spec)
-        branches = collector.run(collect_depth=depth)
-        if len(branches) >= _BRANCH_TARGET or not branches:
-            break
-
-    # the node cap bounds the whole search: it is charged in branch order,
-    # and past it the search stops where one thread stops, at the first
-    # node past the cap
-    cap = config.node_cap
-    nodes = collector.nodes
-
-    def check_cap(count: int) -> None:
-        if cap is not None and count > cap:
-            raise InconclusiveError(
-                f"node cap {cap} exceeded before exhaustion", nodes_explored=cap + 1
-            )
-
-    def cap_left() -> Optional[int]:
-        return None if cap is None else cap - nodes
-
-    check_cap(nodes)
-
-    best_genus, best_witness = collector.best_genus, collector.best_witness
-    exhausted = not reached_stop(best_genus)
-
-    # Walk branches strictly in order, so early stops and the cap are the
-    # same whatever the thread count.
-    if exhausted:
-        pool = None
-        workers = min(config.threads, len(branches))
-        if workers > 1:
-            # a worker cannot know what the branches before its own use, so
-            # each may use what collection left of the cap
-            spec["node_cap"] = cap_left()
-            halt = multiprocessing.RawValue("b", 0)
-            pool = multiprocessing.Pool(workers, _init_worker, (halt,))
-            fresh = pool.imap(_branch_worker, [(spec, path) for path in branches])
-        else:
-            # one at a time, a branch may use what the branches before it left
-            fresh = (
-                _branch_worker(({**spec, "node_cap": cap_left()}, path))
-                for path in branches
-            )
-        try:
-            for branch_nodes, genus, witness in fresh:
-                nodes += branch_nodes
-                check_cap(nodes)
-                if genus is not None and (best_genus is None or genus < best_genus):
-                    best_genus, best_witness = genus, witness
-                if reached_stop(genus):
-                    exhausted = False
-                    break
-        except InconclusiveError:
-            # a branch ran past what the cap left it: report the whole cap
-            check_cap(cap + 1)
-        finally:
-            if pool is not None:
-                # halt the branches still running and let the workers exit;
-                # terminate() hangs for good if it kills a worker that holds
-                # the lock of the result queue
-                halt.value = 1
-                pool.close()
-                pool.join()
-    return best_genus, best_witness, nodes, exhausted
+    eng = _Engine(p, budget, stop_genus, fixed, config.node_cap)
+    eng.run()
+    return eng.best_genus, eng.best_witness, eng.nodes, not eng._stopped()
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +623,7 @@ def _search(
     disconnected unpinned pattern, each component is searched for its exact
     minimum, stopped at its homology bound."""
     require_valid(p)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if budget is None:
         budget = _default_budget(p)
     if budget < 0:
@@ -788,8 +632,6 @@ def _search(
         )
     if config.node_cap is not None and config.node_cap < 0:
         raise InvalidInputError("node cap must be nonnegative")
-    if config.threads < 1:
-        raise InvalidInputError("threads must be at least 1")
 
     total_nodes = 0
 
@@ -801,7 +643,7 @@ def _search(
             witness=None,
             nodes_explored=total_nodes,
             exhausted=True,
-            wall_time_s=time.time() - t0,
+            wall_time_s=time.perf_counter() - t0,
             note=note,
         )
 
@@ -862,7 +704,7 @@ def _search(
         witness=witness,
         nodes_explored=total_nodes,
         exhausted=exhausted_all,
-        wall_time_s=time.time() - t0,
+        wall_time_s=time.perf_counter() - t0,
         note="; ".join(sorted(set(notes))),
     )
 

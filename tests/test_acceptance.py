@@ -472,7 +472,7 @@ def test_c7_verify_paper_deterministic(capsys):
     ok = line(
         "c7 determinism",
         rows1 == rows2 and code1 == code2,
-        f"scoreboards identical across thread counts ({len(rows1)} rows)",
+        f"scoreboards identical with --threads 1 and 2 ({len(rows1)} rows)",
     )
     assert ok
 

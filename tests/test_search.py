@@ -1,11 +1,9 @@
-import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
-import types
 
 import pytest
 
@@ -68,7 +66,7 @@ def test_chain_exact_three():
     ng, _ = naive_min_genus(p)
     assert ng == 3
     r7 = min_genus(load_pattern("chain7"), 5)
-    assert (r7.kind, r7.genus, r7.nodes_explored) == ("exact", 3, 49)
+    assert (r7.kind, r7.genus, r7.nodes_explored) == ("exact", 3, 12)
 
 
 def test_fast_exceeds_below_bound():
@@ -269,80 +267,19 @@ def test_node_cap_raises_inconclusive():
     assert err.value.nodes_explored > 0
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_node_cap_bounds_the_whole_search(threads):
-    # a cap above what the search needs changes nothing, at any thread count
-    cfg = SearchConfig(node_cap=1_000_000, threads=threads)
+def test_node_cap_bounds_the_whole_search():
+    # a cap above what the search needs changes nothing
+    cfg = SearchConfig(node_cap=1_000_000)
     r = min_genus(load_pattern("curves11"), config=cfg)
-    assert (r.kind, r.genus, r.nodes_explored) == ("exact", 4, 165_732)
+    assert (r.kind, r.genus, r.nodes_explored) == ("exact", 4, 165_695)
     p12 = load_pattern("curves12")
-    r = is_realizable(p12, 5, SearchConfig(node_cap=1444, threads=threads))
-    assert (r.kind, r.nodes_explored) == ("realizable", 1444)
+    r = is_realizable(p12, 5, SearchConfig(node_cap=1407))
+    assert (r.kind, r.nodes_explored) == ("realizable", 1407)
     # one node fewer: the search stops at the first node past the user's cap
-    for cap in (500, 1443):
+    for cap in (500, 1406):
         with pytest.raises(InconclusiveError, match=f"^node cap {cap} exceeded") as err:
-            is_realizable(p12, 5, SearchConfig(node_cap=cap, threads=threads))
+            is_realizable(p12, 5, SearchConfig(node_cap=cap))
         assert err.value.nodes_explored == cap + 1
-
-
-_THREAD_CASES = {
-    "cycle8 min-genus 4": lambda cfg: min_genus(load_pattern("cycle8"), 4, cfg),
-    "curves12 check 5": lambda cfg: is_realizable(load_pattern("curves12"), 5, cfg),
-    "curves10 min-genus": lambda cfg: min_genus(load_pattern("curves10"), config=cfg),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _thread_outcome(case, threads):
-    r = _THREAD_CASES[case](SearchConfig(threads=threads))
-    return (r.kind, r.genus, r.nodes_explored, r.exhausted, r.note, r.witness)
-
-
-@pytest.mark.parametrize("threads", [1, 2, 5, 8])
-def test_thread_count_does_not_change_outcome(threads):
-    # thread counts on both sides of 4: the split must not follow them
-    for case in _THREAD_CASES:
-        assert _thread_outcome(case, threads) == _thread_outcome(case, 1), case
-
-
-def test_pool_is_no_larger_than_the_pending_branches(monkeypatch):
-    from twistlat import search
-
-    sizes, tasks = [], []
-
-    class SerialPool:
-        """Stands in for multiprocessing.Pool: runs the tasks in-process."""
-
-        def __init__(self, processes, initializer=None, initargs=()):
-            sizes.append(processes)  # the initializer is for real workers
-
-        def imap(self, fn, iterable):
-            items = list(iterable)
-            tasks.append(len(items))
-            return map(fn, items)
-
-        def close(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
-    case = "curves12 check 5"
-    r = _THREAD_CASES[case](SearchConfig(threads=64))
-    assert sizes and len(sizes) == len(tasks)
-    assert all(size <= n for size, n in zip(sizes, tasks)), (sizes, tasks)
-    outcome = (r.kind, r.genus, r.nodes_explored, r.exhausted, r.note, r.witness)
-    assert outcome == _thread_outcome(case, 1)
-
-
-def test_halted_worker_abandons_its_branch(monkeypatch):
-    # what a pool worker sees once the parent has stopped the search
-    from twistlat import search
-
-    monkeypatch.setattr(search, "_halt", types.SimpleNamespace(value=1))
-    with pytest.raises(search._Halted):
-        min_genus(load_pattern("cycle8"), 4)
 
 
 def test_certificate_checks_survive_python_O():
@@ -376,19 +313,6 @@ def test_certificate_checks_survive_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised: internal/external trace mismatch"
-
-
-def test_thread_count_invariance_on_exhaustion_run():
-    # a mid-size exhaustion-certified Exceeds: identical node counts too
-    p = load_pattern("curves11")
-    fixed = load_structure("u-placement")
-    r1 = min_genus(p, 5, SearchConfig(fixed=fixed, threads=1))
-    r2 = min_genus(p, 5, SearchConfig(fixed=fixed, threads=3))
-    assert (r1.kind, r1.nodes_explored, r1.exhausted) == (
-        r2.kind,
-        r2.nodes_explored,
-        r2.exhausted,
-    )
 
 
 def test_fixed_prefix_constrains_search():
