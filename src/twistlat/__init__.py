@@ -64,7 +64,7 @@ from .transvect import (
     quadratic_refinement,
     transvection,
     verify_all_relations,
-    verify_pair_relation,
+    word_matrix,
 )
 
 __all__ = [
@@ -114,6 +114,6 @@ __all__ = [
     "transvection",
     "validate_pattern",
     "verify_all_relations",
-    "verify_pair_relation",
     "vertex_str",
+    "word_matrix",
 ]

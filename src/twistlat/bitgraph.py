@@ -117,17 +117,10 @@ class ArtinGraph:
             raise InvalidInputError(f"not a vertex of the k={self.k} graph: {v!r}")
         return i
 
-    def is_edge(self, u: Vertex, v: Vertex, rule: str = "comparability") -> bool:
-        """Adjacency test; `rule` selects between the two equivalent
-        formulations ("comparability" or "sign-pairs")."""
+    def is_edge(self, u: Vertex, v: Vertex) -> bool:
+        """Adjacency test: distinct and comparable."""
         i, j = self.vertex_index(u), self.vertex_index(v)
-        if i == j:
-            return False
-        if rule == "comparability":
-            return j in self._adj[i]
-        if rule == "sign-pairs":
-            return no_opposite_pair(self.vertices[i], self.vertices[j])
-        raise InvalidInputError(f"unknown edge rule {rule!r}")
+        return i != j and j in self._adj[i]
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         i = self.vertex_index(v)

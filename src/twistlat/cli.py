@@ -24,6 +24,7 @@ from .bitgraph import (
     AFFINE_CYCLE,
     BR8_CHAIN,
     build_gamma,
+    no_opposite_pair,
     parse_vertex,
     vertex_str,
 )
@@ -115,7 +116,11 @@ class _Run:
 def _check_options(args) -> None:
     """Each pair of options names one input two ways; give at most one.
     ``--threads`` changes nothing, but is still checked."""
-    for a, b in (("pattern", "builtin"), ("fixed", "fixed_builtin")):
+    for a, b in (
+        ("pattern", "builtin"),
+        ("fixed", "fixed_builtin"),
+        ("subset", "non_extremal"),
+    ):
         if getattr(args, a, None) and getattr(args, b, None):
             raise InvalidInputError(
                 f"give --{a} or --{b.replace('_', '-')}, not both"
@@ -227,7 +232,7 @@ def cmd_lattice(run: _Run, args) -> int:
         return EXIT_OK
     if which == "rank":
         g = build_gamma(args.k)
-        if args.subset:
+        if args.subset is not None:
             verts = [parse_vertex(s) for s in args.subset.split(",")]
         elif args.non_extremal:
             verts = [v for v in g.vertices if not g.is_extremal(v)]
@@ -389,7 +394,7 @@ def cmd_rep_export(run: _Run, args) -> int:
 
 def cmd_chains_verify(run: _Run, args) -> int:
     g = build_gamma(args.k)
-    seq = [parse_vertex(s) for s in args.seq.split(",") if s]
+    seq = [parse_vertex(s) for s in args.seq.split(",")]
     if args.cycle:
         ok = g.verify_induced_cycle(seq)
         run.payload = {"is_induced_cycle": ok}
@@ -571,7 +576,7 @@ def _scoreboard(run: _Run, args) -> int:
     for k in (1, 2, 3, 4, 5):
         gk = build_gamma(k)
         agree = agree and all(
-            gk.is_edge(u, v) == gk.is_edge(u, v, rule="sign-pairs")
+            gk.is_edge(u, v) == no_opposite_pair(u, v)
             for u in gk.vertices
             for v in gk.vertices
             if u != v

@@ -17,12 +17,11 @@ All arithmetic in this module is exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import intlinalg as la
-from .bitgraph import Vertex, vertices
+from .bitgraph import Vertex, no_opposite_pair, vertices
 from .errors import DegenerateFormError, InvalidInputError
 
 
@@ -38,12 +37,10 @@ def hl_pairing(i: Vertex, j: Vertex) -> int:
     if i > j:
         return -hl_pairing(j, i)
     # i < j lexicographically from here on
-    diffs = [a - b for a, b in zip(i, j)]
-    for dm, dn in itertools.combinations(diffs, 2):
-        if dm * dn < 0:
-            return 0
+    if not no_opposite_pair(i, j):
+        return 0
     # -(-1)^s read via the parity of the integer s = sum of differences
-    s = sum(diffs)
+    s = sum(a - b for a, b in zip(i, j))
     return 1 if s % 2 else -1
 
 

@@ -2,12 +2,14 @@
 
 Each vertex class a (from the quotient lattice) acts on the quotient by
 x -> x + s*<x, a>*a with s = +1 or -1; the resulting matrices preserve the
-induced form exactly.  The checks in this module mechanize, at the matrix
-level, the group-theoretic facts used downstream: braid/commutation for
-every vertex pair, the four-letter relation on triangles, explicit
-conjugating words along a spanning tree, invariance of a quadratic
-refinement of the mod-2 pairing, irreducibility as invariant-subspace
-closure, and the mod-2 non-degeneracy of the alternating chain sum.
+induced form exactly.  Every product of these transvections is evaluated
+over a word of vertices by `word_matrix`, one rank-one update per letter.
+The checks in this module mechanize, at the matrix level, the
+group-theoretic facts used downstream: braid/commutation for every vertex
+pair, the four-letter relation on triangles, explicit conjugating words
+along a spanning tree, invariance of a quadratic refinement of the mod-2
+pairing, irreducibility as invariant-subspace closure, and the mod-2
+non-degeneracy of the alternating chain sum.
 """
 
 from __future__ import annotations
@@ -34,21 +36,35 @@ def preserves_form(entries: Sequence[Sequence[int]], gram: la.IntMatrix) -> bool
     return la.mat_mul(la.mat_mul(la.transpose(m), gram), m) == gram
 
 
-def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> la.IntMatrix:
-    """Matrix of x -> x + sign*<x, a_v>*a_v in quotient coordinates."""
+def word_matrix(
+    q: QuotientLattice, word: Sequence[Vertex], sign: int = 1
+) -> la.IntMatrix:
+    """T_{w1} ... T_{wn} (leftmost factor first) in quotient coordinates,
+    where T_v is x -> x + sign*<x, a_v>*a_v.
+
+    T_v = I + sign * a_v u_v^T with u_v = G a_v, so each letter is one
+    rank-one update M T_v = M + sign * (M a_v) u_v^T; the empty word gives I.
+    """
     if sign not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
-    i = _vertex_index(q, v)
-    a = q.class_map[i]
-    u = la.mat_vec(q.induced_gram, a)  # <x, a> = x . u
-    n = q.rank
-    entries = tuple(
-        tuple((1 if r == c else 0) + sign * a[r] * u[c] for c in range(n))
-        for r in range(n)
-    )
-    if not preserves_form(entries, q.induced_gram):
+    m = [list(row) for row in la.identity(q.rank)]
+    for v in word:
+        a = q.class_map[_vertex_index(q, v)]
+        u = la.mat_vec(q.induced_gram, a)  # <x, a> = x . u
+        for row, c in zip(m, la.mat_vec(m, a)):
+            if c:
+                c *= sign
+                for j, uj in enumerate(u):
+                    row[j] += c * uj
+    return la.freeze(m)
+
+
+def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> la.IntMatrix:
+    """Matrix of x -> x + sign*<x, a_v>*a_v in quotient coordinates."""
+    t = word_matrix(q, (v,), sign)
+    if not preserves_form(t, q.induced_gram):
         raise AssertionError(f"transvection of {vertex_str(v)} breaks the form")
-    return entries
+    return t
 
 
 @dataclass(frozen=True)
@@ -89,19 +105,6 @@ def transvection_shape(q: QuotientLattice, v: Vertex, sign: int = 1) -> Transvec
         direction_primitive=la.vector_content(a) == 1,
         fixed_space_dim=n - dev_rank,
     )
-
-
-def verify_pair_relation(
-    a: la.IntMatrix, b: la.IntMatrix, expect_braid: bool
-) -> bool:
-    """ABA == BAB when a braid is expected, AB == BA otherwise."""
-    if expect_braid:
-        lhs = la.mat_mul(la.mat_mul(a, b), a)
-        rhs = la.mat_mul(la.mat_mul(b, a), b)
-    else:
-        lhs = la.mat_mul(a, b)
-        rhs = la.mat_mul(b, a)
-    return lhs == rhs
 
 
 @dataclass
@@ -148,22 +151,23 @@ def verify_all_relations(
     if verts != g.vertices:
         raise InvalidInputError("graph and lattice have different vertex sets")
     ts = {v: transvection(q, v, sign) for v in verts}
+
+    def same(lhs: tuple[Vertex, ...], rhs: tuple[Vertex, ...]) -> bool:
+        return word_matrix(q, lhs, sign) == word_matrix(q, rhs, sign)
+
     report = RelationReport(sign=sign)
     n = len(verts)
     for i in range(n):
         for j in range(i + 1, n):
             u, v = verts[i], verts[j]
             edge = g.is_edge(u, v)
-            if not verify_pair_relation(ts[u], ts[v], expect_braid=edge):
+            lhs, rhs = ((u, v, u), (v, u, v)) if edge else ((u, v), (v, u))
+            if not same(lhs, rhs):
                 report.pair_failures.append((u, v, "braid" if edge else "commute"))
             # distinct commuting transvections must not also braid (equal
             # matrices satisfy both; that happens only in degenerate small
             # quotients where two vertex classes coincide, never for k = 4)
-            if (
-                not edge
-                and ts[u] != ts[v]
-                and verify_pair_relation(ts[u], ts[v], expect_braid=True)
-            ):
+            if not edge and ts[u] != ts[v] and same((u, v, u), (v, u, v)):
                 report.pair_failures.append((u, v, "braid-on-non-edge"))
             report.pairs_checked += 1
     for i in range(n):
@@ -184,31 +188,25 @@ def verify_all_relations(
                 for (x, y, z), expected in zip(
                     itertools.permutations((u, v, w)), expectations
                 ):
-                    xy = la.mat_mul(ts[x], ts[y])
-                    yz = la.mat_mul(ts[y], ts[z])
-                    zx = la.mat_mul(ts[z], ts[x])
-                    holds = la.mat_mul(xy, zx) == la.mat_mul(yz, xy)
-                    if holds != expected:
+                    if same((x, y, z, x), (y, z, x, y)) != expected:
                         report.triangle_failures.append((x, y, z))
                 report.triangles_checked += 1
     return report
 
 
 def conjugacy_witnesses(
-    q: QuotientLattice, g: ArtinGraph, root: Vertex | None = None, sign: int = 1
+    q: QuotientLattice, g: ArtinGraph, sign: int = 1
 ) -> dict[Vertex, tuple[Vertex, ...]]:
     """For each vertex v, a word w (generator vertices, leftmost factor
-    first) with M(w) T_root M(w)^-1 == T_v, built over a BFS spanning tree
-    from the braid identity (T_u T_v) T_u (T_u T_v)^-1 = T_v.
+    first) with M(w) T_root M(w)^-1 == T_v, where the root is the first
+    vertex, built over a BFS spanning tree from the braid identity
+    (T_u T_v) T_u (T_u T_v)^-1 = T_v.
 
     Every witness is verified by exact multiplication before returning.
     """
     verts = vertices(q.source.k)
-    if root is None:
-        root = verts[0]
-    root = tuple(root)
+    root = verts[0]
     ts = {v: transvection(q, v, sign) for v in verts}
-    inv = {v: transvection(q, v, -sign) for v in verts}
     words: dict[Vertex, tuple[Vertex, ...]] = {root: ()}
     queue = [root]
     while queue:
@@ -221,22 +219,12 @@ def conjugacy_witnesses(
     if len(words) != len(verts):
         raise InvalidInputError("graph is not connected; no spanning tree")
 
-    def word_matrix(word: Sequence[Vertex], inverse: bool = False) -> la.IntMatrix:
-        m = la.identity(q.rank)
-        factors = (
-            [inv[v] for v in reversed(word)] if inverse else [ts[v] for v in word]
-        )
-        for f in factors:
-            m = la.mat_mul(m, f)
-        return m
-
-    t_root = ts[root]
     for v, word in words.items():
-        mw = word_matrix(word)
-        mw_inv = word_matrix(word, inverse=True)
+        mw = word_matrix(q, word, sign)
+        mw_inv = word_matrix(q, word[::-1], -sign)
         if la.mat_mul(mw, mw_inv) != la.identity(q.rank):
             raise AssertionError("word inverse failed")
-        if la.mat_mul(la.mat_mul(mw, t_root), mw_inv) != ts[v]:
+        if la.mat_mul(la.mat_mul(mw, ts[root]), mw_inv) != ts[v]:
             raise AssertionError(f"witness for {vertex_str(v)} failed verification")
     return words
 
@@ -252,14 +240,18 @@ def _mask(vec: Sequence[int]) -> int:
     return m
 
 
+def _form_mask(gram_mod2: Sequence[int], x: int) -> int:
+    """Coordinate mask of G x mod 2, from the form's row masks."""
+    gx = 0
+    for i, row in enumerate(gram_mod2):
+        if (row & x).bit_count() & 1:
+            gx |= 1 << i
+    return gx
+
+
 def _pairing_mod2(gram_mod2: Sequence[int], x: int, y: int) -> int:
     """<x, y> mod 2 for coordinate masks x, y and the form's row masks."""
-    acc = 0
-    while y:
-        b = y & -y
-        acc ^= (gram_mod2[b.bit_length() - 1] & x).bit_count() & 1
-        y ^= b
-    return acc
+    return (y & _form_mask(gram_mod2, x)).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -279,11 +271,22 @@ class QuadraticRefinement:
         return _pairing_mod2(self.gram_mod2, x, y)
 
 
+#: Largest quotient rank whose refinement is tabulated: the table has
+#: 2^rank entries (rank 10 at k = 4, but already 32 at k = 5).
+MAX_REFINEMENT_RANK = 16
+
+
 def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
     """Construct the refinement by assigning 1 on an F_2 basis of vertex
     classes and extending quadratically; RefinementError if some vertex
-    class would get value 0."""
+    class would get value 0, InvalidInputError if the rank exceeds
+    MAX_REFINEMENT_RANK."""
     r = q.rank
+    if r > MAX_REFINEMENT_RANK:
+        raise InvalidInputError(
+            f"quotient rank {r} exceeds the refinement limit "
+            f"{MAX_REFINEMENT_RANK}: its table would need 2^{r} entries"
+        )
     gram2 = tuple(_mask(row) for row in q.induced_gram)
     classes = [_mask(c) for c in q.class_map]
 
@@ -381,11 +384,7 @@ def refinement_identity_ok(ref: QuadraticRefinement) -> bool:
                 shifted = ((shifted & lo) << step) | ((shifted >> step) & lo)
             yy >>= 1
             b += 1
-        gy = 0
-        for i in range(r):
-            if (ref.gram_mod2[i] & y).bit_count() & 1:
-                gy |= 1 << i
-        expect = shifted ^ tm ^ parity_mask(gy)
+        expect = shifted ^ tm ^ parity_mask(_form_mask(ref.gram_mod2, y))
         if ref.table[y]:
             expect ^= full
         if expect != 0:
@@ -398,10 +397,7 @@ def refinement_invariant_under(
 ) -> bool:
     """q(T_v x) == q(x) for every vector of the mod-2 quotient."""
     a = _mask(q.class_map[_vertex_index(q, v)])
-    ga = 0
-    for i in range(ref.rank):
-        if (ref.gram_mod2[i] & a).bit_count() & 1:
-            ga |= 1 << i
+    ga = _form_mask(ref.gram_mod2, a)
     for x in range(1 << ref.rank):
         tx = x ^ a if (x & ga).bit_count() & 1 else x
         if ref.table[tx] != ref.table[x]:
@@ -452,10 +448,10 @@ def chain_parity_check(q: QuotientLattice) -> tuple[bool, int]:
 
 
 def rep_to_json_dict(q: QuotientLattice, g: ArtinGraph, sign: int = 1) -> dict:
+    ref = quadratic_refinement(q)  # first: it rejects a rank too large
     ts = {v: transvection(q, v, sign) for v in vertices(q.source.k)}
     words = conjugacy_witnesses(q, g, sign=sign)
     report = verify_all_relations(q, g, sign=sign)
-    ref = quadratic_refinement(q)
     return {
         "sign": sign,
         "transvections": {

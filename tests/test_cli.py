@@ -176,6 +176,12 @@ def test_rep_qform(capsys):
     assert data["values_on_classes"] == [1] * 16
 
 
+@pytest.mark.parametrize("cmd", ["qform", "export"])
+def test_rep_refinement_rank_guard(capsys, cmd):
+    code, data = run_json(capsys, "rep", cmd, "--k", "5")
+    assert code == 2 and "rank 32" in data["error"]
+
+
 def test_rep_parity(capsys):
     code, data = run_json(capsys, "rep", "parity")
     assert code == 0
@@ -328,6 +334,10 @@ def test_manifests_identical_modulo_timing(capsys):
         (("realize", "min-genus", "--builtin", "chain7", "--node-cap", "-1"), None, 2),
         (("realize", "check", "--builtin", "chain7", "--genus", "3", "--threads", "0"), None, 2),
         (("chains", "enumerate", "--length", "7", "--avoid-extremal", "--limit", "-1"), None, 2),
+        # an empty item in a comma-separated list of bit-strings
+        (("chains", "verify", "--seq", ""), None, 2),
+        (("chains", "verify", "--seq", "0001,,0101"), None, 2),
+        (("lattice", "rank", "--subset", ""), None, 2),
         # one input named two ways: valid files, so only the conflict fails
         (
             ("realize", "bound", "--builtin", "chain7", "--pattern", "{file}"),
@@ -340,6 +350,7 @@ def test_manifests_identical_modulo_timing(capsys):
             '{"visit_orders": {"a": ["b"], "b": ["a"]}, "crossing_bits": [["a", "b", 0]]}',
             2,
         ),
+        (("lattice", "rank", "--subset", "0101", "--non-extremal"), None, 2),
         # a pin listing one crossing twice, at a genus where it would search
         (
             ("realize", "check", "--builtin", "curves11", "--genus", "6")
@@ -414,8 +425,12 @@ def test_manifests_identical_modulo_timing(capsys):
         "min-genus-node-cap-negative",
         "check-threads-zero",
         "enumerate-limit-negative",
+        "chains-seq-empty",
+        "chains-seq-empty-item",
+        "lattice-subset-empty",
         "pattern-and-builtin",
         "fixed-and-fixed-builtin",
+        "subset-and-non-extremal",
         "fixed-duplicate-crossing",
         "fixed-duplicate-crossing-below-bound",
         "fixed-repeated-key",

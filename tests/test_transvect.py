@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 import sympy
 
+import twistlat
 from twistlat import (
     InvalidInputError,
     RefinementError,
@@ -16,11 +21,12 @@ from twistlat import (
     quotient_lattice,
     transvection,
     verify_all_relations,
-    verify_pair_relation,
+    word_matrix,
 )
 from twistlat import intlinalg as la
 from twistlat.lattice import QuotientLattice, SkewLattice
 from twistlat.transvect import (
+    MAX_REFINEMENT_RANK,
     preserves_form,
     refinement_identity_ok,
     refinement_invariant_under,
@@ -71,13 +77,39 @@ def test_form_preservation_and_guard(ctx):
 
 def test_pair_relation_examples(ctx):
     g, q = ctx
-    t1 = transvection(q, (0, 0, 0, 1))
-    t2 = transvection(q, (0, 1, 0, 1))
-    assert verify_pair_relation(t1, t2, expect_braid=True)
-    t3 = transvection(q, (0, 1, 0, 0))
-    t4 = transvection(q, (1, 0, 1, 0))
-    assert verify_pair_relation(t3, t4, expect_braid=False)
-    assert not verify_pair_relation(t3, t4, expect_braid=True)
+    u, v = (0, 0, 0, 1), (0, 1, 0, 1)
+    assert g.is_edge(u, v)
+    assert word_matrix(q, (u, v, u)) == word_matrix(q, (v, u, v))
+    x, y = (0, 1, 0, 0), (1, 0, 1, 0)
+    assert not g.is_edge(x, y)
+    assert word_matrix(q, (x, y)) == word_matrix(q, (y, x))
+    assert word_matrix(q, (x, y, x)) != word_matrix(q, (y, x, y))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [3, 4])
+def test_word_matrix_matches_dense_product(k, sign):
+    """Oracle: fold dense factors I + s a u^T, with u = G a built here from
+    the class map and the induced form, by plain matrix products."""
+    g = build_gamma(k)
+    q = quotient_lattice(gram_matrix(k))
+    n = q.rank
+
+    def dense(v):
+        a = q.class_map[g.index[v]]
+        u = [sum(q.induced_gram[r][c] * a[c] for c in range(n)) for r in range(n)]
+        return [[(r == c) + sign * a[r] * u[c] for c in range(n)] for r in range(n)]
+
+    rng = random.Random(5)
+    for length in range(7):
+        for _ in range(5):
+            word = tuple(rng.choice(g.vertices) for _ in range(length))
+            expected = la.identity(n)
+            for v in word:
+                expected = la.mat_mul(expected, dense(v))
+            assert word_matrix(q, word, sign) == expected
+    with pytest.raises(InvalidInputError):
+        word_matrix(q, (), 2)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -127,6 +159,38 @@ def test_triangle_orientation_rule(ctx):
     assert sum(flags) == 3
 
 
+def test_form_check_survives_python_O():
+    """A transvection that fails the form check still raises under -O."""
+    code = textwrap.dedent(
+        """
+        from twistlat import gram_matrix, quotient_lattice, transvect
+
+        assert False, "assert statements must be stripped"
+        transvect.preserves_form = lambda m, gram: False
+        try:
+            transvect.transvection(quotient_lattice(gram_matrix(2)), (0, 1))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("returned")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(twistlat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised: transvection of 01 breaks the form"
+
+
 def test_conjugacy_witnesses(ctx):
     g, q = ctx
     words = conjugacy_witnesses(q, g)
@@ -165,6 +229,16 @@ def test_quadratic_refinement_random_identity_samples(ctx):
             ref.table[x ^ y]
             == ref.table[x] ^ ref.table[y] ^ ref.pairing_mod2(x, y)
         )
+
+
+def test_refinement_rank_guard():
+    """The table has 2^rank entries: rank 10 (k = 4) is tabulated, rank 32
+    (k = 5) is refused before anything is allocated."""
+    assert 10 <= MAX_REFINEMENT_RANK < 32
+    q = quotient_lattice(gram_matrix(5))
+    assert q.rank == 32
+    with pytest.raises(InvalidInputError, match="rank 32"):
+        quadratic_refinement(q)
 
 
 def test_refinement_failure_paths():
