@@ -39,7 +39,7 @@ def main() -> int:
     p12 = load_pattern("curves12")
     p11m = subpattern(p12, [l for l in p12.curves if l != "w+"])
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     candidates = []
     for r in enumerate_structures(p10):
         s = surface_of(p10, r)
@@ -48,7 +48,7 @@ def main() -> int:
     candidates.sort(key=lambda t: t[0])
     print(
         f"connected genus-{args.genus} placements: {len(candidates)} "
-        f"({time.time() - t0:.1f}s)"
+        f"({time.perf_counter() - t0:.1f}s)"
     )
 
     blockers = 0
@@ -67,7 +67,7 @@ def main() -> int:
                 break
         else:
             print(tag)
-    print(f"done in {time.time() - t0:.1f}s; blockers found: {blockers}")
+    print(f"done in {time.perf_counter() - t0:.1f}s; blockers found: {blockers}")
     return 0
 
 

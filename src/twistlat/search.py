@@ -11,8 +11,11 @@ keeps it; a link within one component raises it by 1 exactly when its two
 corners lie on different faces, which one face walk decides.  Since a
 sub-ribbon-graph's neighborhood embeds in any completion's neighborhood,
 the partial genus is a valid lower bound and branches exceeding the budget
-(or the best leaf so far) are pruned.  Every leaf within the budget is
-re-traced by `ribbon.surface_of`, which must agree.  "Exceeds"
+(or the best leaf so far) are pruned.  A child whose one new link would
+raise the genus past that cutoff is counted as a node but not built: one
+face walk at the strand's open end, per parent, decides this before any
+placement.  Every leaf within the budget is re-traced by
+`ribbon.surface_of`, which must agree.  "Exceeds"
 verdicts are issued only after the pruned tree is exhausted (or when the
 budget is already below the homology bound or the pinned structure's own
 genus); exact minima are certified early once some structure reaches the
@@ -240,20 +243,22 @@ class _Engine:
         size[r1] += size[r2]
         self.journal.append(("split", r1, r2))
 
-    def _same_face(self, d1: int, d2: int) -> bool:
-        """Whether the corners that open darts ``d1`` and ``d2`` would be
-        linked into lie on one face: a corner is named by the next linked
-        dart in the rotation, and one face walk looks for the second."""
+    def _corner(self, d: int) -> int:
+        """The corner that open dart ``d`` would be linked into, named by
+        the next linked dart in the rotation."""
+        return (d & ~3) | _NEXT_LINKED[self.row[d >> 2]][d & 3]
+
+    def _face(self, d: int) -> set[int]:
+        """The corners of the face at open dart ``d``'s corner, collected
+        by one face walk."""
         link, row, nxt = self.link, self.row, _NEXT_LINKED
-        start = (d1 & ~3) | nxt[row[d1 >> 2]][d1 & 3]
-        goal = (d2 & ~3) | nxt[row[d2 >> 2]][d2 & 3]
-        d = start
-        while d != goal:
+        d = self._corner(d)
+        face: set[int] = set()
+        while d not in face:
+            face.add(d)
             e = link[d]
             d = (e & ~3) | nxt[row[e >> 2]][e & 3]
-            if d == start:
-                return False
-        return True
+        return face
 
     def _join(self, d1: int, d2: int) -> None:
         """Link two open darts, keeping the genus by Euler's formula: a
@@ -265,7 +270,7 @@ class _Engine:
         r1, r2 = self._find(x1), self._find(x2)
         if r1 != r2:
             self._union(r1, r2)
-        elif self.row[x1] & 15 and not self._same_face(d1, d2):
+        elif self.row[x1] & 15 and self._corner(d2) not in self._face(d1):
             self.journal.append(("genus", self.genus))
             self.genus += 1
         self._link(d1, d2)
@@ -368,6 +373,21 @@ class _Engine:
         d_in = self._dart(first, self._side_of(first, c), 0)
         self._join(d_out, d_in)
         self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
+
+    def _genus_step(self, c, q, gap, bitv, strand, face) -> int:
+        """The genus change of `_place_crossing` (c, q, gap, bitv), read off
+        before the placement.  Subdividing the arc (d_a, d_b) keeps every
+        face, and the new crossing's corner lies on the face of ``d_a`` or of
+        ``d_b``, by its bit and its side; so the one `_join` raises the genus
+        exactly when the strand's open end meets that arc's component and
+        the corner is not on ``face``, the face at the strand's open end."""
+        if not strand or not self.arcs[q]:
+            return 0
+        d_a, d_b = self.arcs[q][gap]
+        if self._find(strand[-1]) != self._find(d_a >> 2):
+            return 0
+        corner = d_a if (c > q) == (bitv == 0) else d_b
+        return 0 if corner in face else 1
 
     # -- external structure extraction / loading -------------------------------
 
@@ -518,12 +538,24 @@ class _Engine:
                 for bitv in self._bit_choices(c, q):
                     options.append((q, gap, bitv))
 
+        face = None  # the face at the strand's open end, walked on demand
         for q, gap, bitv in options:
+            # a witness found under an earlier option may have lowered it
+            cutoff = self._cutoff()
+            if self.genus + 1 > cutoff:
+                if face is None and strand:
+                    prev = strand[-1]
+                    face = self._face(self._dart(prev, self._side_of(prev, c), 1))
+                if self.genus + self._genus_step(c, q, gap, bitv, strand, face) > cutoff:
+                    # pruned on creation: counted as a node, never built
+                    self.nodes += 1
+                    self._check_cap()
+                    continue
             tok = self._mark()
             self._place_crossing(c, q, gap, bitv, strand, is_first=not strand)
             self.nodes += 1
             self._check_cap()
-            if self.genus <= self._cutoff():
+            if self.genus <= cutoff:
                 nxt_remaining = (
                     remaining
                     if forced_next is not None

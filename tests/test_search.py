@@ -149,31 +149,65 @@ def traced_partial_genus(eng):
 
 @pytest.fixture
 def genus_checked(monkeypatch):
-    """Compares the engine's genus with the full trace at every node: the
-    cutoff is read exactly once per node, right after its placement."""
+    """Compares the genus of every counted node with the full trace, one
+    check per node, made when `_check_cap` runs right after the count.  A
+    built child is traced where it stands.  A child that is counted but not
+    built, because its predicted genus is past the cutoff, is built from its
+    parent when `_genus_step` predicts it, traced against the parent's genus
+    plus the prediction, and rewound.  Each check is (built, genus)."""
     from twistlat import search
 
-    cutoff = search._Engine._cutoff
-    checks = []
+    check_cap, genus_step = search._Engine._check_cap, search._Engine._genus_step
+    checks, unbuilt = [], []
 
-    def checked_cutoff(self):
+    def checked_genus_step(self, c, q, gap, bitv, strand, face):
+        step = genus_step(self, c, q, gap, bitv, strand, face)
+        tok, expected = self._mark(), self.genus + step
+        self._place_crossing(c, q, gap, bitv, strand, is_first=not strand)
         traced = traced_partial_genus(self)
-        if self.genus != traced:
-            raise AssertionError(f"engine genus {self.genus}, traced {traced}")
-        checks.append(traced)
-        return cutoff(self)
+        self._rewind(tok)
+        strand.pop()
+        if traced != expected:
+            raise AssertionError(f"predicted genus {expected}, traced {traced}")
+        if expected > self._cutoff():
+            unbuilt.append((tok, traced))
+        return step
 
-    monkeypatch.setattr(search._Engine, "_cutoff", checked_cutoff)
+    def checked_check_cap(self):
+        if unbuilt:
+            tok, traced = unbuilt.pop()
+            if self._mark() != tok:
+                raise AssertionError("a child predicted past the cutoff was built")
+            checks.append((False, traced))
+        else:
+            traced = traced_partial_genus(self)
+            if self.genus != traced:
+                raise AssertionError(f"engine genus {self.genus}, traced {traced}")
+            checks.append((True, traced))
+        return check_cap(self)
+
+    monkeypatch.setattr(search._Engine, "_genus_step", checked_genus_step)
+    monkeypatch.setattr(search._Engine, "_check_cap", checked_check_cap)
     return checks
 
 
 def test_engine_genus_matches_full_trace_on_random_patterns(genus_checked):
+    from twistlat import search
+
     rng = random.Random(7)
+    nodes = 0
     for _ in range(25):
         p = random_pattern(rng)
         r = min_genus(p)
         assert surface_of(p, r.witness).total_genus == r.genus
-    assert len(genus_checked) > 25
+        # these searches stop at the homology bound before any child is
+        # pruned, so also exhaust each tree one above its minimum
+        eng = search._Engine(p, r.genus + 1, stop_genus=-1)
+        eng.run()
+        assert eng.best_genus == r.genus
+        nodes += r.nodes_explored + eng.nodes
+    assert len(genus_checked) == nodes > 25
+    assert sum(not built for built, _ in genus_checked) > 1000
 
 
 @pytest.mark.parametrize(
@@ -185,7 +219,9 @@ def test_engine_genus_matches_full_trace_when_pinned(genus_checked, name, search
     cfg = SearchConfig(fixed=load_structure("u-placement"))
     r = search_fn(load_pattern(name), 5, cfg)
     assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
-    assert len(genus_checked) >= r.nodes_explored
+    assert len(genus_checked) == r.nodes_explored
+    # the children traced one above a parent at the cutoff, never built
+    assert sum(not built for built, _ in genus_checked) == 14_038
 
 
 def test_pin_loads_at_its_own_genus():
@@ -267,19 +303,53 @@ def test_node_cap_raises_inconclusive():
     assert err.value.nodes_explored > 0
 
 
-def test_node_cap_bounds_the_whole_search():
-    # a cap above what the search needs changes nothing
-    cfg = SearchConfig(node_cap=1_000_000)
-    r = min_genus(load_pattern("curves11"), config=cfg)
-    assert (r.kind, r.genus, r.nodes_explored) == ("exact", 4, 165_695)
-    p12 = load_pattern("curves12")
-    r = is_realizable(p12, 5, SearchConfig(node_cap=1407))
-    assert (r.kind, r.nodes_explored) == ("realizable", 1407)
-    # one node fewer: the search stops at the first node past the user's cap
-    for cap in (500, 1406):
+@pytest.mark.parametrize(
+    "name, search_fn, genus, pin, expected",
+    [
+        ("curves11", min_genus, None, None, ("exact", 4, 165_695)),
+        ("curves12", min_genus, None, None, ("exact", 4, 171_040)),
+        ("curves11", is_realizable, 5, "u-placement", ("exceeds", None, 18_542)),
+        ("curves12", is_realizable, 5, "u-placement", ("exceeds", None, 18_542)),
+        ("curves11", is_realizable, 6, "u-placement", ("realizable", 6, 814)),
+        ("curves12", is_realizable, 6, "u-placement", ("realizable", 6, 2_362)),
+        ("curves12", is_realizable, 5, None, ("realizable", 5, 1_407)),
+    ],
+    ids=[
+        "curves11-min-genus",
+        "curves12-min-genus",
+        "curves11-pinned-5",
+        "curves12-pinned-5",
+        "curves11-pinned-6",
+        "curves12-pinned-6",
+        "curves12-check-5",
+    ],
+)
+def test_node_counts(name, search_fn, genus, pin, expected):
+    # a cap equal to the count changes nothing
+    cfg = SearchConfig(
+        node_cap=expected[2], fixed=load_structure(pin) if pin is not None else None
+    )
+    r = search_fn(load_pattern(name), genus, cfg)
+    assert (r.kind, r.genus, r.nodes_explored) == expected
+
+
+def test_node_cap_bounds_the_whole_search(genus_checked):
+    """The search stops at the first node past the cap, whether that node
+    is built or counted without being built (node 8,987 of the pinned
+    curves11 exhaustion is the latter, node 8,986 the former)."""
+    pin = load_structure("u-placement")
+    for name, fixed, cap, built in [
+        ("curves12", None, 500, False),
+        ("curves12", None, 1406, True),
+        ("curves11", pin, 8986, False),
+    ]:
+        genus_checked.clear()
         with pytest.raises(InconclusiveError, match=f"^node cap {cap} exceeded") as err:
-            is_realizable(p12, 5, SearchConfig(node_cap=cap))
-        assert err.value.nodes_explored == cap + 1
+            is_realizable(load_pattern(name), 5, SearchConfig(node_cap=cap, fixed=fixed))
+        assert err.value.nodes_explored == len(genus_checked) == cap + 1
+        assert genus_checked[-1][0] == built
+        if fixed is not None:
+            assert genus_checked[-2][0]
 
 
 def test_certificate_checks_survive_python_O():
