@@ -33,7 +33,6 @@ from .lattice import (
     gram_matrix,
     lattice_to_json_dict,
     quotient_lattice,
-    radical,
     sublattice_rank,
     symplectic_basis,
 )

@@ -101,13 +101,14 @@ def radical(lattice: SkewLattice) -> la.IntMatrix:
 def quotient_lattice(lattice: SkewLattice) -> QuotientLattice:
     g = lattice.gram
     n = len(g)
-    rad = radical(lattice)
     # Image lattice of x -> G x; its Hermite basis fixes quotient coordinates.
     # U G^T = H, so the transform row u matching a basis row h has G u = h:
-    # these rows are the integral preimages that give the induced form.
+    # these rows are the integral preimages that give the induced form, and
+    # the rows under H's zero rows span the radical, as in `la.kernel_basis`.
     h, u = la.row_hnf(la.transpose(g), with_transform=True)
     r = sum(1 for row in h if not la.is_zero_vector(row))
     image_basis, preimages = h[:r], u[:r]
+    rad = tuple(row for row in la.row_hnf(u[r:]) if not la.is_zero_vector(row))
     class_map = []
     for i in range(n):
         col = tuple(g[t][i] for t in range(n))

@@ -117,12 +117,17 @@ def require_list(value, what: str) -> list | tuple:
     return value
 
 
+def require_label(value) -> Label:
+    """``value`` itself when it is a string: labels are sorted and hashed,
+    and 2 < "x" or a list label would fail deep inside a check."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"curve label {value!r} is not a string")
+    return value
+
+
 def make_pattern(curves: Sequence[Label], meeting_pairs) -> CurvePattern:
     """Build a pattern from the list of intersecting label pairs."""
-    curves = tuple(require_list(curves, "curves"))
-    for c in curves:
-        if not isinstance(c, str):
-            raise InvalidInputError(f"curve label {c!r} is not a string")
+    curves = tuple(require_label(c) for c in require_list(curves, "curves"))
     idx = {c: i for i, c in enumerate(curves)}
     n = len(curves)
     m = [[0] * n for _ in range(n)]

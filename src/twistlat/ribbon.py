@@ -28,6 +28,7 @@ from .patterns import (
     CurvePattern,
     Label,
     reject_repeated_keys,
+    require_label,
     require_list,
     require_valid,
     subpattern,
@@ -303,13 +304,14 @@ def structure_from_json(payload: str | dict) -> RibbonStructure:
     try:
         if isinstance(payload, str):
             payload = json.loads(payload, object_pairs_hook=reject_repeated_keys)
-        orders = [
-            (lab, tuple(require_list(seq, f"visit order of {lab!r}")))
-            for lab, seq in payload["visit_orders"].items()
-        ]
+        orders = []
+        for lab, seq in payload["visit_orders"].items():
+            seq = require_list(seq, f"visit order of {lab!r}")
+            orders.append((lab, tuple(map(require_label, seq))))
         bits = []
         for entry in require_list(payload["crossing_bits"], "crossing_bits"):
             a, b, v = require_list(entry, "a crossing bit")
+            a, b = require_label(a), require_label(b)
             # bool is a subclass of int, so the type is tested exactly
             if type(v) is not int or v not in (0, 1):
                 raise InvalidInputError(

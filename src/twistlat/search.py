@@ -8,18 +8,22 @@ placement the partial ribbon graph's neighborhood genus is updated from
 the links it adds, by Euler's formula: subdividing an arc, or a loop at a
 crossing with no links yet, keeps the genus; a link joining two components
 keeps it; a link within one component raises it by 1 exactly when its two
-corners lie on different faces, which one face walk decides.  Since a
-sub-ribbon-graph's neighborhood embeds in any completion's neighborhood,
-the partial genus is a valid lower bound and branches exceeding the budget
-(or the best leaf so far) are pruned.  A child whose one new link would
-raise the genus past that cutoff is counted as a node but not built: one
-face walk at the strand's open end, per parent, decides this before any
-placement.  Every leaf within the budget is re-traced by
-`ribbon.surface_of`, which must agree.  "Exceeds"
-verdicts are issued only after the pruned tree is exhausted (or when the
-budget is already below the homology bound or the pinned structure's own
-genus); exact minima are certified early once some structure reaches the
-homology bound, since nothing can lie below it.  There is one search mode:
+corners lie on different faces, which one face walk decides.  Components
+are read off the insertion plan, not tracked: every inserted curve but the
+one being placed is complete, so a crossing lies in the component of its
+partner among the curves inserted before, and the open strand joins the
+components of the partners it has met.  Since a sub-ribbon-graph's
+neighborhood embeds in any completion's neighborhood, the partial genus is
+a valid lower bound and branches exceeding the budget (or the best leaf so
+far) are pruned.  A child whose one new link would raise the genus past
+that cutoff is counted as a node but not built: one face walk at the
+strand's open end, shared by all the children of a node, decides this
+before any placement.  Every leaf within the budget is re-traced by
+`ribbon.surface_of`, which must agree.  "Exceeds" verdicts are issued
+only after the pruned tree is exhausted (or when the budget is already
+below the homology bound or the pinned structure's own genus); exact
+minima are certified early once some structure reaches the homology
+bound, since nothing can lie below it.  There is one search mode:
 it stops once a structure has genus <= a stop genus.  `min_genus` stops at
 the homology bound; `is_realizable(p, g)` is the same search stopped at g,
 so it ends at the first structure within the budget.
@@ -159,13 +163,21 @@ class _Engine:
         # first, the curve, its inserted partners and whether to skip
         # reversed cyclic orders; None for a curve with nothing to place
         self.plan: list[Optional[tuple[int, tuple[int, ...], bool]]] = []
+        # per position, the component of every curve among the curves
+        # inserted before it, named by one of its curves; a curve not yet
+        # inserted names itself
+        self.comp: list[tuple[int, ...]] = []
         order = sorted(
             range(len(pattern.curves)), key=lambda i: pattern.curves[i] not in pinned
         )
         inserted: set[int] = set()
+        comp = list(range(len(pattern.curves)))
         for c in order:
             partners = tuple(sorted(inserted.intersection(pattern.neighbors(c))))
             inserted.add(c)
+            self.comp.append(tuple(comp))
+            joined = {comp[q] for q in partners}
+            comp = [c if name in joined else name for name in comp]
             if pattern.curves[c] in pinned or not partners:
                 self.plan.append(None)
             else:
@@ -178,9 +190,6 @@ class _Engine:
         self.link: list[int] = []  # dart -> dart | -1
         # per crossing: 16 * bit + mask of linked darts, a _NEXT_LINKED row
         self.row: list[int] = []
-        # components: union by size, no path compression, undone by rewind
-        self.parent: list[int] = []
-        self.size: list[int] = []
         self.genus = 0  # total genus of the partial ribbon graph
         self.arcs: dict[int, list[tuple[int, int]]] = {
             i: [] for i in range(len(pattern.curves))
@@ -193,7 +202,7 @@ class _Engine:
         self.best_witness: Optional[RibbonStructure] = None
 
         if fixed is not None:
-            self._load_fixed(sorted(pinned), fixed)
+            self._load_fixed(order[: len(pinned)], fixed)
 
     # -- low-level journaled mutations ---------------------------------------
 
@@ -228,21 +237,6 @@ class _Engine:
         self._detach(d1, d2)
         self.journal.append(("link", d1, d2))
 
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def _union(self, r1: int, r2: int) -> None:
-        """Merge the components of roots ``r1`` and ``r2``."""
-        size = self.size
-        if size[r1] < size[r2]:
-            r1, r2 = r2, r1
-        self.parent[r2] = r1
-        size[r1] += size[r2]
-        self.journal.append(("split", r1, r2))
-
     def _corner(self, d: int) -> int:
         """The corner that open dart ``d`` would be linked into, named by
         the next linked dart in the rotation."""
@@ -260,17 +254,12 @@ class _Engine:
             d = (e & ~3) | nxt[row[e >> 2]][e & 3]
         return face
 
-    def _join(self, d1: int, d2: int) -> None:
+    def _join(self, d1: int, d2: int, same: bool) -> None:
         """Link two open darts, keeping the genus by Euler's formula: a
-        link between components keeps it, and a link within one raises it
-        by 1 when its corners lie on different faces.  A dart at a crossing
-        with no links yet lies in a component of its own, unless both darts
-        are at that crossing: a loop there keeps the genus."""
-        x1, x2 = d1 >> 2, d2 >> 2
-        r1, r2 = self._find(x1), self._find(x2)
-        if r1 != r2:
-            self._union(r1, r2)
-        elif self.row[x1] & 15 and self._corner(d2) not in self._face(d1):
+        link between components keeps it, and a link within one (``same``)
+        raises it by 1 when its corners lie on different faces.  A loop at
+        a crossing with no links yet keeps the genus."""
+        if same and self.row[d1 >> 2] & 15 and self._corner(d2) not in self._face(d1):
             self.journal.append(("genus", self.genus))
             self.genus += 1
         self._link(d1, d2)
@@ -290,8 +279,6 @@ class _Engine:
         self.bit.append(bitv)
         self.link.extend((-1, -1, -1, -1))
         self.row.append(16 * bitv)
-        self.parent.append(x)
-        self.size.append(1)
         self.journal.append(("pop_crossing",))
         return x
 
@@ -308,16 +295,10 @@ class _Engine:
                 self._detach(op[1], op[2])
             elif tag == "arc_pop":
                 self.arcs[op[1]].pop(op[2])
-            elif tag == "split":
-                _, r1, r2 = op
-                self.parent[r2] = r2
-                self.size[r1] -= self.size[r2]
             elif tag == "pop_crossing":
                 self.cross.pop()
                 self.bit.pop()
                 self.row.pop()
-                self.parent.pop()
-                self.size.pop()
                 del self.link[-4:]
             elif tag == "link":
                 self._attach(op[1], op[2])
@@ -337,7 +318,7 @@ class _Engine:
         gap: int,
         bitv: int,
         strand: list[int],
-        is_first: bool,
+        same: bool,
     ) -> None:
         x = self._new_crossing(c, partner, bitv)
         side_c = self._side_of(x, c)
@@ -351,7 +332,6 @@ class _Engine:
             self._unlink(d_a, d_b)
             self._link(d_a, d0)
             self._link(d1, d_b)
-            self._union(self._find(d_a >> 2), x)
             self._arc_insert(partner, gap, (d_a, d0))
             self._arc_insert(partner, gap + 1, (d1, d_b))
         else:
@@ -359,11 +339,11 @@ class _Engine:
             # which keeps the genus
             self._link(d1, d0)
             self._arc_insert(partner, 0, (d1, d0))
-        if not is_first:
+        if strand:
             prev = strand[-1]
             d_out = self._dart(prev, self._side_of(prev, c), 1)
             d_in = self._dart(x, side_c, 0)
-            self._join(d_out, d_in)
+            self._join(d_out, d_in, same)
             self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
         strand.append(x)
 
@@ -371,21 +351,19 @@ class _Engine:
         first, last = strand[0], strand[-1]
         d_out = self._dart(last, self._side_of(last, c), 1)
         d_in = self._dart(first, self._side_of(first, c), 0)
-        self._join(d_out, d_in)
+        self._join(d_out, d_in, True)
         self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
 
-    def _genus_step(self, c, q, gap, bitv, strand, face) -> int:
-        """The genus change of `_place_crossing` (c, q, gap, bitv), read off
-        before the placement.  Subdividing the arc (d_a, d_b) keeps every
-        face, and the new crossing's corner lies on the face of ``d_a`` or of
-        ``d_b``, by its bit and its side; so the one `_join` raises the genus
-        exactly when the strand's open end meets that arc's component and
-        the corner is not on ``face``, the face at the strand's open end."""
-        if not strand or not self.arcs[q]:
+    def _genus_step(self, c, q, gap, bitv, same, face) -> int:
+        """The genus change of `_place_crossing` (c, q, gap, bitv, same),
+        read off before the placement.  Subdividing the arc (d_a, d_b) keeps
+        every face, and the new crossing's corner lies on the face of ``d_a``
+        or of ``d_b``, by its bit and its side; so the one `_join` raises the
+        genus exactly when it is within one component (``same``) and the
+        corner is not on ``face``, the face at the strand's open end."""
+        if not same:
             return 0
         d_a, d_b = self.arcs[q][gap]
-        if self._find(strand[-1]) != self._find(d_a >> 2):
-            return 0
         corner = d_a if (c > q) == (bitv == 0) else d_b
         return 0 if corner in face else 1
 
@@ -447,10 +425,14 @@ class _Engine:
             bits[key] = 0 if succ_of_lo_in == s_in_hi else 1
         return make_structure(p, orders, bits)
 
-    def _load_fixed(self, labels: list[Label], fixed: RibbonStructure) -> None:
-        """Install a complete structure on the sub-pattern of ``labels``,
-        which `_search` has validated."""
-        sub = subpattern(self.p, labels)
+    def _load_fixed(self, curves: list[int], fixed: RibbonStructure) -> None:
+        """Install a complete structure on the sub-pattern of ``curves``,
+        which `_search` has validated.  The curves are the first entries of
+        the insertion plan and are walked in its order, so that each link
+        reads its components off the plan: a link to the next crossing is
+        within one component when that crossing's partner's component was
+        already met on this curve, or when it closes the curve."""
+        sub = subpattern(self.p, sorted(self.p.curves[c] for c in curves))
         order_map = dict(fixed.visit_orders)
         bit_map = fixed.bits()
         xid: dict[tuple[int, int], int] = {}
@@ -461,19 +443,18 @@ class _Engine:
             key = tuple(sorted((sub.curves[i], sub.curves[j])))
             x = self._new_crossing(lo, hi, bit_map[key])
             xid[(lo, hi)] = x
-        for lab in sub.curves:
-            ci = self.p.index(lab)
-            seq = order_map[lab]
-            ids = []
-            for partner in seq:
-                pj = self.p.index(partner)
-                ids.append(xid[(min(ci, pj), max(ci, pj))])
+        for ci, comp in zip(curves, self.comp):
+            partners = [self.p.index(lab) for lab in order_map[self.p.curves[ci]]]
+            ids = [xid[(min(ci, pj), max(ci, pj))] for pj in partners]
             m = len(ids)
+            seen = 0
             for t in range(m):
                 x, nx = ids[t], ids[(t + 1) % m]
+                seen |= 1 << comp[partners[t]]
+                same = t == m - 1 or seen >> comp[partners[t + 1]] & 1
                 d_out = self._dart(x, self._side_of(x, ci), 1)
                 d_in = self._dart(nx, self._side_of(nx, ci), 0)
-                self._join(d_out, d_in)
+                self._join(d_out, d_in, same)
                 self._arc_insert(ci, len(self.arcs[ci]), (d_out, d_in))
 
     # -- search -----------------------------------------------------------------
@@ -507,14 +488,17 @@ class _Engine:
             self._dfs_curve(k + 1)
             return
         c, partners, filter_ok = step
-        self._dfs_place(c, k, partners[0], partners[1:], [], None, filter_ok)
+        self._dfs_place(c, k, partners[0], partners[1:], [], None, filter_ok, 0)
 
     def _bit_choices(self, c: int, q: int) -> tuple[int, ...]:
         if (min(c, q), max(c, q)) == self.anchor:
             return (0,)
         return (0, 1)
 
-    def _dfs_place(self, c, k, forced_next, remaining, strand, q2, filter_ok):
+    def _dfs_place(self, c, k, forced_next, remaining, strand, q2, filter_ok, seen):
+        """Place the strand's next crossing.  ``seen`` is the bitmask of the
+        components (`comp` names) its crossings lie in: a placement links
+        within one component exactly when its partner's bit is set."""
         if self._stopped():
             return
         if forced_next is None and not remaining:
@@ -538,21 +522,23 @@ class _Engine:
                 for bitv in self._bit_choices(c, q):
                     options.append((q, gap, bitv))
 
+        comp = self.comp[k]
         face = None  # the face at the strand's open end, walked on demand
         for q, gap, bitv in options:
+            same = seen >> comp[q] & 1
             # a witness found under an earlier option may have lowered it
             cutoff = self._cutoff()
             if self.genus + 1 > cutoff:
-                if face is None and strand:
+                if face is None and same:
                     prev = strand[-1]
                     face = self._face(self._dart(prev, self._side_of(prev, c), 1))
-                if self.genus + self._genus_step(c, q, gap, bitv, strand, face) > cutoff:
+                if self.genus + self._genus_step(c, q, gap, bitv, same, face) > cutoff:
                     # pruned on creation: counted as a node, never built
                     self.nodes += 1
                     self._check_cap()
                     continue
             tok = self._mark()
-            self._place_crossing(c, q, gap, bitv, strand, is_first=not strand)
+            self._place_crossing(c, q, gap, bitv, strand, same)
             self.nodes += 1
             self._check_cap()
             if self.genus <= cutoff:
@@ -569,6 +555,7 @@ class _Engine:
                     strand,
                     q if (forced_next is None and q2 is None) else q2,
                     filter_ok,
+                    seen | 1 << comp[q],
                 )
             self._rewind(tok)
             strand.pop()

@@ -411,6 +411,21 @@ def test_manifests_identical_modulo_timing(capsys):
             )
             for bit in ("1.9", '"1"', "true")
         ),
+        # a structure's labels are strings too: a list label is unhashable
+        *(
+            (
+                ("realize", "check", "--builtin", "chain7", "--genus", "3")
+                + ("--fixed", "{file}"),
+                '{"visit_orders": {"a": [%s], "b": ["a"]}, "crossing_bits": [[%s, %s, 0]]}'
+                % labels,
+                2,
+            )
+            for labels in (
+                ('"b"', '["a"]', '["b"]'),
+                ('"b"', '"a"', "2"),
+                ('["b"]', '"a"', '"b"'),
+            )
+        ),
     ],
     ids=[
         "lattice-subset",
@@ -442,6 +457,9 @@ def test_manifests_identical_modulo_timing(capsys):
         "fixed-bit-float",
         "fixed-bit-string",
         "fixed-bit-bool",
+        "fixed-bit-label-list",
+        "fixed-bit-label-number",
+        "fixed-order-label-list",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):

@@ -153,17 +153,31 @@ def genus_checked(monkeypatch):
     check per node, made when `_check_cap` runs right after the count.  A
     built child is traced where it stands.  A child that is counted but not
     built, because its predicted genus is past the cutoff, is built from its
-    parent when `_genus_step` predicts it, traced against the parent's genus
-    plus the prediction, and rewound.  Each check is (built, genus)."""
+    parent when `_genus_step` predicts it, on the strand of the innermost
+    `_dfs_place`, traced against the parent's genus plus the prediction, and
+    rewound.  Each check is (built, genus)."""
     from twistlat import search
 
-    check_cap, genus_step = search._Engine._check_cap, search._Engine._genus_step
+    engine = search._Engine
+    check_cap, genus_step, dfs_place, place_crossing = (
+        engine._check_cap,
+        engine._genus_step,
+        engine._dfs_place,
+        engine._place_crossing,
+    )
     checks, unbuilt = [], []
+    strands = []  # the open strand of each `_dfs_place` call on the stack
 
-    def checked_genus_step(self, c, q, gap, bitv, strand, face):
-        step = genus_step(self, c, q, gap, bitv, strand, face)
+    def tracked_dfs_place(self, c, k, forced_next, remaining, strand, *rest):
+        strands.append(strand)
+        dfs_place(self, c, k, forced_next, remaining, strand, *rest)
+        strands.pop()
+
+    def checked_genus_step(self, c, q, gap, bitv, same, face):
+        strand = strands[-1]
+        step = genus_step(self, c, q, gap, bitv, same, face)
         tok, expected = self._mark(), self.genus + step
-        self._place_crossing(c, q, gap, bitv, strand, is_first=not strand)
+        place_crossing(self, c, q, gap, bitv, strand, same)
         traced = traced_partial_genus(self)
         self._rewind(tok)
         strand.pop()
@@ -186,8 +200,9 @@ def genus_checked(monkeypatch):
             checks.append((True, traced))
         return check_cap(self)
 
-    monkeypatch.setattr(search._Engine, "_genus_step", checked_genus_step)
-    monkeypatch.setattr(search._Engine, "_check_cap", checked_check_cap)
+    monkeypatch.setattr(engine, "_dfs_place", tracked_dfs_place)
+    monkeypatch.setattr(engine, "_genus_step", checked_genus_step)
+    monkeypatch.setattr(engine, "_check_cap", checked_check_cap)
     return checks
 
 
@@ -231,6 +246,56 @@ def test_pin_loads_at_its_own_genus():
     eng = search._Engine(p, budget=5, stop_genus=5, fixed=fixed)
     pin = subpattern(p, [lab for lab, _ in fixed.visit_orders])
     assert eng.genus == traced_partial_genus(eng) == surface_of(pin, fixed).total_genus == 5
+
+
+def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypatch):
+    """curves10 listed a, b, e, f, u, ...: the strand of u meets a, in the
+    component {a, b}, and then e, in {e, f}, so its link between them joins
+    two components that both have arcs.  The genus matches the full trace
+    at every node of the exhaustion."""
+    from twistlat import search
+
+    place_crossing = search._Engine._place_crossing
+    joins = []
+
+    def counted_place_crossing(self, c, q, gap, bitv, strand, same):
+        if strand and not same and self.arcs[q]:
+            joins.append((self.p.curves[c], self.p.curves[q]))
+        place_crossing(self, c, q, gap, bitv, strand, same)
+
+    monkeypatch.setattr(search._Engine, "_place_crossing", counted_place_crossing)
+    q = reordered(load_pattern("curves10"), list("abefucdghv"))
+    eng = search._Engine(q, 5, stop_genus=-1)
+    eng.run()
+    assert (eng.best_genus, eng.nodes) == (3, 103)
+    assert joins == [("u", "e")] * 8
+    assert len(genus_checked) == eng.nodes
+
+
+def test_pin_loads_in_plan_order():
+    """The pinned curves are loaded in insertion-plan order, which is
+    pattern order.  Relabelled so that the sorted labels run against
+    pattern order, curves11 under u-placement still loads at genus 5 and
+    exhausts a tree of the same size."""
+    from twistlat import search
+
+    p, pin = load_pattern("curves11"), load_structure("u-placement")
+    mapping = {lab: f"{99 - i:02d}" for i, lab in enumerate(p.curves)}
+    q = relabel(p, mapping)
+    fixed = twistlat.RibbonStructure(
+        tuple(
+            (mapping[lab], tuple(map(mapping.get, order)))
+            for lab, order in pin.visit_orders
+        ),
+        tuple((mapping[a], mapping[b], bit) for a, b, bit in pin.crossing_bits),
+    ).canonical()
+    pinned = [lab for lab, _ in fixed.visit_orders]
+    assert sorted(pinned) != sorted(pinned, key=q.index)
+    eng = search._Engine(q, budget=5, stop_genus=5, fixed=fixed)
+    pin_genus = surface_of(subpattern(q, pinned), fixed).total_genus
+    assert eng.genus == traced_partial_genus(eng) == pin_genus == 5
+    r = is_realizable(q, 5, SearchConfig(fixed=fixed))
+    assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
 
 
 def test_relabel_invariance():
