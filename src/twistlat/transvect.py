@@ -3,17 +3,20 @@
 Each vertex class a (from the quotient lattice) acts on the quotient by
 x -> x + s*<x, a>*a with s = +1 or -1; the resulting matrices preserve the
 induced form exactly.  Every product of these transvections is evaluated
-over a word of vertices by `word_matrix`, one rank-one update per letter.
-The checks in this module mechanize, at the matrix level, the
-group-theoretic facts used downstream: braid/commutation for every vertex
-pair, the four-letter relation on triangles, explicit conjugating words
-along a spanning tree, invariance of a quadratic refinement of the mod-2
-pairing, irreducibility as invariant-subspace closure, and the mod-2
-non-degeneracy of the alternating chain sum.
+over a word of vertices letter by letter, one rank-one update per letter
+(`word_matrix`); the relation checks share the products of common prefixes
+within each pair and each triangle.  The checks in this module mechanize,
+at the matrix level, the group-theoretic facts used downstream:
+braid/commutation for every vertex pair, the four-letter relation on
+triangles, explicit conjugating words along a spanning tree, invariance of
+a quadratic refinement of the mod-2 pairing, irreducibility as
+invariant-subspace closure, and the mod-2 non-degeneracy of the
+alternating chain sum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -24,11 +27,44 @@ from .errors import InvalidInputError, RefinementError
 from .lattice import QuotientLattice
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_positions(k: int) -> dict[Vertex, int]:
+    return {v: i for i, v in enumerate(vertices(k))}
+
+
 def _vertex_index(q: QuotientLattice, v: Vertex) -> int:
     try:
-        return vertices(q.source.k).index(tuple(v))
-    except ValueError:
+        return _vertex_positions(q.source.k)[tuple(v)]
+    except (KeyError, TypeError):
         raise InvalidInputError(f"not a vertex of this lattice: {v!r}") from None
+
+
+# One letter of a word: the nonzero (j, a_j) of the vertex class a, and the
+# row sign*u with u = G a, so that <x, a> = x . u.
+Letter = tuple[tuple[tuple[int, int], ...], la.IntVector]
+
+
+@functools.lru_cache(maxsize=8)
+def _letters(q: QuotientLattice, sign: int) -> tuple[Letter, ...]:
+    """The letter of each vertex, in vertex order, for this lattice and sign."""
+    return tuple(
+        (
+            tuple((j, x) for j, x in enumerate(a) if x),
+            tuple(sign * x for x in la.mat_vec(q.induced_gram, a)),
+        )
+        for a in q.class_map
+    )
+
+
+def _times_letter(m: la.IntMatrix, letter: Letter) -> la.IntMatrix:
+    """M T_v = M + (M a)(sign*u)^T, one rank-one update; rows of M that
+    pair to zero with a are shared, not copied."""
+    support, su = letter
+    out = []
+    for row in m:
+        c = sum(row[j] * x for j, x in support)
+        out.append(tuple(r + c * s for r, s in zip(row, su)) if c else row)
+    return tuple(out)
 
 
 def preserves_form(entries: Sequence[Sequence[int]], gram: la.IntMatrix) -> bool:
@@ -47,16 +83,11 @@ def word_matrix(
     """
     if sign not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
-    m = [list(row) for row in la.identity(q.rank)]
+    letters = _letters(q, sign)
+    m = la.identity(q.rank)
     for v in word:
-        a = q.class_map[_vertex_index(q, v)]
-        u = la.mat_vec(q.induced_gram, a)  # <x, a> = x . u
-        for row, c in zip(m, la.mat_vec(m, a)):
-            if c:
-                c *= sign
-                for j, uj in enumerate(u):
-                    row[j] += c * uj
-    return la.freeze(m)
+        m = _times_letter(m, letters[_vertex_index(q, v)])
+    return m
 
 
 def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> la.IntMatrix:
@@ -146,19 +177,34 @@ def verify_all_relations(
     """Check braid-vs-commute on every vertex pair against adjacency, and the
     four-letter identity T_u T_v T_w T_u = T_v T_w T_u T_v on every ordering
     of every triangle (holding exactly in the orientation class where the
-    signed pairings multiply to -1 around the triangle)."""
+    signed pairings multiply to -1 around the triangle).
+
+    A word's matrix is its prefix's matrix times its last letter, memoized
+    per word.  The memo holds the products of one pair or one triangle and
+    is reset between them, so it stays a few dozen matrices.
+    """
     verts = vertices(q.source.k)
     if verts != g.vertices:
         raise InvalidInputError("graph and lattice have different vertex sets")
     ts = {v: transvection(q, v, sign) for v in verts}
+    letters = dict(zip(verts, _letters(q, sign)))
+    seeds: dict[tuple[Vertex, ...], la.IntMatrix] = {(v,): t for v, t in ts.items()}
+    seeds[()] = la.identity(q.rank)
+
+    def product(word: tuple[Vertex, ...]) -> la.IntMatrix:
+        m = memo.get(word)
+        if m is None:
+            m = memo[word] = _times_letter(product(word[:-1]), letters[word[-1]])
+        return m
 
     def same(lhs: tuple[Vertex, ...], rhs: tuple[Vertex, ...]) -> bool:
-        return word_matrix(q, lhs, sign) == word_matrix(q, rhs, sign)
+        return product(lhs) == product(rhs)
 
     report = RelationReport(sign=sign)
     n = len(verts)
     for i in range(n):
         for j in range(i + 1, n):
+            memo = dict(seeds)  # a fresh memo for each pair and each triangle
             u, v = verts[i], verts[j]
             edge = g.is_edge(u, v)
             lhs, rhs = ((u, v, u), (v, u, v)) if edge else ((u, v), (v, u))
@@ -178,6 +224,7 @@ def verify_all_relations(
                 u, v, w = verts[i], verts[j], verts[k]
                 if not (g.is_edge(v, w) and g.is_edge(u, w)):
                     continue
+                memo = dict(seeds)
                 expectations = [
                     triangle_identity_expected(q, x, y, z, sign)
                     for x, y, z in itertools.permutations((u, v, w))
@@ -290,43 +337,33 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
     gram2 = tuple(_mask(row) for row in q.induced_gram)
     classes = [_mask(c) for c in q.class_map]
 
-    # Greedy F_2 basis among the classes (vertex order), with combination
-    # tracking so any vector decomposes over the chosen basis.
+    # Greedy F_2 basis among the classes (vertex order); `reduced` is its
+    # echelon form, sorted by lowest set bit.
     basis: list[int] = []
-    ech: list[tuple[int, int]] = []  # (reduced vector, combo over basis)
+    reduced: list[int] = []
     for c in classes:
-        v, combo = c, 0
-        for evec, ecombo in ech:
-            if v & (evec & -evec):
-                v ^= evec
-                combo ^= ecombo
+        v = c
+        for e in reduced:
+            if v & (e & -e):
+                v ^= e
         if v:
-            combo ^= 1 << len(basis)
             basis.append(c)
-            ech.append((v, combo))
-            ech.sort(key=lambda t: t[0] & -t[0])
+            reduced.append(v)
+            reduced.sort(key=lambda e: e & -e)
     if len(basis) != r:
         raise RefinementError(f"vertex classes span rank {len(basis)} < {r} over F_2")
 
-    def decompose(m: int) -> int:
-        v, combo = m, 0
-        for evec, ecombo in ech:
-            if v & (evec & -evec):
-                v ^= evec
-                combo ^= ecombo
-        if v:
-            raise AssertionError("vector outside the span of the F_2 basis")
-        return combo
-
+    # One pass over the combinations c of basis classes: with i the lowest
+    # bit of c and p = c minus bit i, x(c) = x(p) + b_i and
+    # q(x(c)) = q(x(p)) + 1 + <x(p), b_i>, since q = 1 on each basis class.
+    paired = [_form_mask(gram2, b) for b in basis]
+    xs = [0] * (1 << r)  # xs[c] = x(c), the sum of the classes in c
     table = [0] * (1 << r)
-    for m in range(1 << r):
-        combo = decompose(m)
-        members = [basis[i] for i in range(len(basis)) if (combo >> i) & 1]
-        val = len(members) & 1  # q = 1 on each basis class
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                val ^= _pairing_mod2(gram2, members[i], members[j])
-        table[m] = val
+    for c in range(1, 1 << r):
+        i = (c & -c).bit_length() - 1
+        prev = xs[c & (c - 1)]  # x(p)
+        xs[c] = prev ^ basis[i]
+        table[xs[c]] = table[prev] ^ 1 ^ ((prev & paired[i]).bit_count() & 1)
     refinement = QuadraticRefinement(rank=r, table=tuple(table), gram_mod2=gram2)
     for v, c in zip(vertices(q.source.k), classes):
         if refinement.table[c] != 1:

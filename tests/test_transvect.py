@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 import sympy
@@ -24,6 +25,7 @@ from twistlat import (
     word_matrix,
 )
 from twistlat import intlinalg as la
+from twistlat.bitgraph import ArtinGraph
 from twistlat.lattice import QuotientLattice, SkewLattice
 from twistlat.transvect import (
     MAX_REFINEMENT_RANK,
@@ -86,28 +88,30 @@ def test_pair_relation_examples(ctx):
     assert word_matrix(q, (x, y, x)) != word_matrix(q, (y, x, y))
 
 
+def dense_product(q, g, word, sign):
+    """The product of the dense factors I + s a u^T over the word, with
+    u = G a built here from the class map and the induced form, multiplied
+    by `mat_mul`."""
+    n = q.rank
+    m = la.identity(n)
+    for v in word:
+        a = q.class_map[g.index[v]]
+        u = [sum(q.induced_gram[r][c] * a[c] for c in range(n)) for r in range(n)]
+        m = la.mat_mul(m, [[(r == c) + sign * a[r] * u[c] for c in range(n)] for r in range(n)])
+    return m
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("k", [3, 4])
 def test_word_matrix_matches_dense_product(k, sign):
-    """Oracle: fold dense factors I + s a u^T, with u = G a built here from
-    the class map and the induced form, by plain matrix products."""
+    """Oracle: fold dense factors I + s a u^T by plain matrix products."""
     g = build_gamma(k)
     q = quotient_lattice(gram_matrix(k))
-    n = q.rank
-
-    def dense(v):
-        a = q.class_map[g.index[v]]
-        u = [sum(q.induced_gram[r][c] * a[c] for c in range(n)) for r in range(n)]
-        return [[(r == c) + sign * a[r] * u[c] for c in range(n)] for r in range(n)]
-
     rng = random.Random(5)
     for length in range(7):
         for _ in range(5):
             word = tuple(rng.choice(g.vertices) for _ in range(length))
-            expected = la.identity(n)
-            for v in word:
-                expected = la.mat_mul(expected, dense(v))
-            assert word_matrix(q, word, sign) == expected
+            assert word_matrix(q, word, sign) == dense_product(q, g, word, sign)
     with pytest.raises(InvalidInputError):
         word_matrix(q, (), 2)
 
@@ -119,6 +123,97 @@ def test_all_relations(ctx, sign):
     assert rep.ok, (rep.pair_failures[:3], rep.triangle_failures[:3])
     assert rep.pairs_checked == 120
     assert rep.triangles_checked == 110
+
+
+class DroppedEdgeGraph(ArtinGraph):
+    """Gamma with the edge u-v missing: the checker must then expect u and v
+    to commute."""
+
+    def __init__(self, k, u, v):
+        super().__init__(k)
+        self.dropped = {u, v}
+
+    def is_edge(self, a, b):
+        return {a, b} != self.dropped and super().is_edge(a, b)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_relation_checker_flags_a_dropped_edge(ctx, sign):
+    g, q = ctx
+    u, v = (0, 0, 0, 1), (0, 1, 0, 1)
+    assert g.is_edge(u, v)
+    rep = verify_all_relations(q, DroppedEdgeGraph(4, u, v), sign=sign)
+    # T_u and T_v braid, so they fail to commute and braid on a non-edge
+    assert rep.pair_failures == [(u, v, "commute"), (u, v, "braid-on-non-edge")]
+    assert rep.pairs_checked == 120
+    assert rep.triangle_failures == []
+    # the triangles through the edge u-v are no longer triangles
+    through = sum(1 for w in g.vertices if g.is_edge(u, w) and g.is_edge(v, w))
+    assert rep.triangles_checked == 110 - through
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dropped", [None, ((0, 0, 0), (0, 1, 1))])
+def test_relation_report_matches_dense_oracle(sign, dropped):
+    """Every pair verdict and every triangle ordering at k = 3, recomputed
+    with dense factors I + s a u^T multiplied by `mat_mul`."""
+    q = quotient_lattice(gram_matrix(3))
+    g = DroppedEdgeGraph(3, *dropped) if dropped else build_gamma(3)
+    ts = {v: dense_product(q, g, (v,), sign) for v in g.vertices}
+
+    def same(lhs, rhs):
+        return dense_product(q, g, lhs, sign) == dense_product(q, g, rhs, sign)
+
+    pair_failures, triangle_failures, triangles = [], [], 0
+    for u, v in itertools.combinations(g.vertices, 2):
+        edge = g.is_edge(u, v)
+        if edge and not same((u, v, u), (v, u, v)):
+            pair_failures.append((u, v, "braid"))
+        if not edge and not same((u, v), (v, u)):
+            pair_failures.append((u, v, "commute"))
+        if not edge and ts[u] != ts[v] and same((u, v, u), (v, u, v)):
+            pair_failures.append((u, v, "braid-on-non-edge"))
+    for tri in itertools.combinations(g.vertices, 3):
+        if not all(g.is_edge(a, b) for a, b in itertools.combinations(tri, 2)):
+            continue
+        triangles += 1
+        holds = [same((x, y, z, x), (y, z, x, y)) for x, y, z in itertools.permutations(tri)]
+        if sum(holds) != 3:
+            triangle_failures.append(tri)
+        for (x, y, z), h in zip(itertools.permutations(tri), holds):
+            if h != triangle_identity_expected(q, x, y, z, sign):
+                triangle_failures.append((x, y, z))
+
+    rep = verify_all_relations(q, g, sign=sign)
+    assert rep.pair_failures == pair_failures
+    assert rep.pairs_checked == 28
+    assert rep.triangles_checked == triangles
+    assert rep.triangle_failures == triangle_failures
+    if dropped:
+        assert pair_failures, "the oracle must see the dropped edge"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_relation_memo_stays_small(ctx, sign):
+    """The prefix products are kept for one pair or one triangle at a time;
+    keeping every word's product would peak near 2 MB."""
+    g, q = ctx
+    verify_all_relations(q, g, sign=sign)  # build the cached letter tables first
+    tracemalloc.start()
+    try:
+        verify_all_relations(q, g, sign=sign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
+
+
+def test_word_matrix_rejects_non_vertices(ctx):
+    _, q = ctx
+    assert word_matrix(q, [[0, 0, 0, 1]]) == transvection(q, (0, 0, 0, 1))
+    for bad in ((0, 0, 2, 0), (0, 0, 0), ([0], 1, 0, 0)):
+        with pytest.raises(InvalidInputError, match="not a vertex"):
+            word_matrix(q, (bad,))
 
 
 def test_all_transvections_distinct(ctx):
