@@ -854,7 +854,7 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         code = args.func(run, args)
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
         run.say(f"invalid input: {exc}")
         run.payload = {"error": str(exc)}
         return run.emit(EXIT_INVALID)

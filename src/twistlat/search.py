@@ -186,7 +186,6 @@ class _Engine:
 
         # dynamic state
         self.cross: list[tuple[int, int]] = []  # (curve_lo, curve_hi)
-        self.bit: list[int] = []
         self.link: list[int] = []  # dart -> dart | -1
         # per crossing: 16 * bit + mask of linked darts, a _NEXT_LINKED row
         self.row: list[int] = []
@@ -208,14 +207,6 @@ class _Engine:
 
     def _dart(self, x: int, side: int, slot: int) -> int:
         return 4 * x + 2 * side + slot
-
-    def _side_of(self, x: int, curve: int) -> int:
-        lo, hi = self.cross[x]
-        if curve == lo:
-            return 0
-        if curve == hi:
-            return 1
-        raise AssertionError("curve not at crossing")
 
     def _attach(self, d1: int, d2: int) -> None:
         self.link[d1] = d2
@@ -254,15 +245,17 @@ class _Engine:
             d = (e & ~3) | nxt[row[e >> 2]][e & 3]
         return face
 
-    def _join(self, d1: int, d2: int, same: bool) -> None:
-        """Link two open darts, keeping the genus by Euler's formula: a
-        link between components keeps it, and a link within one (``same``)
-        raises it by 1 when its corners lie on different faces.  A loop at
-        a crossing with no links yet keeps the genus."""
+    def _join(self, c: int, d1: int, d2: int, same: bool) -> None:
+        """Link the open out-dart ``d1`` of curve ``c`` to its next in-dart
+        ``d2``, append the arc to ``c``'s arcs, and keep the genus by Euler's
+        formula: a link between components keeps it, and a link within one
+        (``same``) raises it by 1 when its corners lie on different faces.
+        A loop at a crossing with no links yet keeps the genus."""
         if same and self.row[d1 >> 2] & 15 and self._corner(d2) not in self._face(d1):
             self.journal.append(("genus", self.genus))
             self.genus += 1
         self._link(d1, d2)
+        self._arc_insert(c, len(self.arcs[c]), (d1, d2))
 
     def _arc_insert(self, curve: int, pos: int, arc: tuple[int, int]) -> None:
         self.arcs[curve].insert(pos, arc)
@@ -276,7 +269,6 @@ class _Engine:
     def _new_crossing(self, ci: int, cj: int, bitv: int) -> int:
         x = len(self.cross)
         self.cross.append((min(ci, cj), max(ci, cj)))
-        self.bit.append(bitv)
         self.link.extend((-1, -1, -1, -1))
         self.row.append(16 * bitv)
         self.journal.append(("pop_crossing",))
@@ -297,7 +289,6 @@ class _Engine:
                 self.arcs[op[1]].pop(op[2])
             elif tag == "pop_crossing":
                 self.cross.pop()
-                self.bit.pop()
                 self.row.pop()
                 del self.link[-4:]
             elif tag == "link":
@@ -321,10 +312,9 @@ class _Engine:
         same: bool,
     ) -> None:
         x = self._new_crossing(c, partner, bitv)
-        side_c = self._side_of(x, c)
-        side_p = 1 - side_c
-        d0 = self._dart(x, side_p, 0)
-        d1 = self._dart(x, side_p, 1)
+        side_c = int(c > partner)
+        d0 = self._dart(x, 1 - side_c, 0)
+        d1 = self._dart(x, 1 - side_c, 1)
         p_arcs = self.arcs[partner]
         if p_arcs:
             # subdividing an arc keeps the genus
@@ -339,20 +329,14 @@ class _Engine:
             # which keeps the genus
             self._link(d1, d0)
             self._arc_insert(partner, 0, (d1, d0))
+        d_in = self._dart(x, side_c, 0)
         if strand:
-            prev = strand[-1]
-            d_out = self._dart(prev, self._side_of(prev, c), 1)
-            d_in = self._dart(x, side_c, 0)
-            self._join(d_out, d_in, same)
-            self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
-        strand.append(x)
+            self._join(c, strand[-1], d_in, same)
+        strand.append(d_in ^ 1)
 
     def _close_strand(self, c: int, strand: list[int]) -> None:
-        first, last = strand[0], strand[-1]
-        d_out = self._dart(last, self._side_of(last, c), 1)
-        d_in = self._dart(first, self._side_of(first, c), 0)
-        self._join(d_out, d_in, True)
-        self._arc_insert(c, len(self.arcs[c]), (d_out, d_in))
+        """Link the last out-dart of ``c``'s strand to its first in-dart."""
+        self._join(c, strand[-1], strand[0] ^ 1, True)
 
     def _genus_step(self, c, q, gap, bitv, same, face) -> int:
         """The genus change of `_place_crossing` (c, q, gap, bitv, same),
@@ -370,92 +354,59 @@ class _Engine:
     # -- external structure extraction / loading -------------------------------
 
     def extract_structure(self) -> RibbonStructure:
-        """Convert the complete internal state to the external encoding,
-        choosing each curve's direction canonically."""
-        p = self.p
-        crossings_of: dict[int, list[int]] = {i: [] for i in range(len(p.curves))}
-        for x, (lo, hi) in enumerate(self.cross):
-            crossings_of[lo].append(x)
-            crossings_of[hi].append(x)
+        """Convert the complete internal state to the external encoding.
+        Each curve's arcs list its crossings in travel order; its visit
+        order is read off them, rotated to its lowest partner, and kept in
+        the direction whose label list is smaller (forwards on a tie).  A
+        crossing's bit is its internal bit, flipped once for each of its
+        curves that is read backwards."""
+        p, cross = self.p, self.cross
         orders: dict[Label, list[Label]] = {}
-        in_slot: dict[tuple[int, int], int] = {}
-
-        for ci, lab in enumerate(p.curves):
-            xs = crossings_of[ci]
-            if not xs:
-                orders[lab] = []
-                continue
-
-            def partner_label(x: int, ci=ci) -> Label:
-                lo, hi = self.cross[x]
-                return p.curves[hi if lo == ci else lo]
-
-            start = min(xs, key=partner_label)
-            walks = []
-            # slot 1 first: on ties this keeps the direction a loaded
-            # structure came with, making extraction idempotent
-            for first_slot in (1, 0):
-                seq = [start]
-                arrival = {}
-                x, out_slot = start, first_slot
-                while True:
-                    d = self.link[self._dart(x, self._side_of(x, ci), out_slot)]
-                    if d == -1:
-                        raise AssertionError("open strand in a finished structure")
-                    nx, ns = d // 4, d % 2
-                    arrival[nx] = ns
-                    if nx == start:
-                        break
-                    seq.append(nx)
-                    x, out_slot = nx, 1 - ns
-                walks.append(([partner_label(x) for x in seq], seq, arrival))
-            walks.sort(key=lambda w: w[0])
-            labels_seq, seq, arrival = walks[0]
-            orders[lab] = labels_seq
-            for x in seq:
-                in_slot[(x, ci)] = arrival[x]
-
-        bits = {}
-        for x, (lo, hi) in enumerate(self.cross):
-            s_in_lo = in_slot[(x, lo)]
-            s_in_hi = in_slot[(x, hi)]
-            b = self.bit[x]
-            succ_of_lo_in = b if s_in_lo == 0 else 1 - b
-            key = tuple(sorted((p.curves[lo], p.curves[hi])))
-            bits[key] = 0 if succ_of_lo_in == s_in_hi else 1
+        rev = [0] * len(p.curves)
+        for c, arcs in self.arcs.items():
+            # lo + hi - c is c's partner at the crossing (lo, hi)
+            order = [p.curves[sum(cross[d >> 2]) - c] for d, _ in arcs]
+            if order:
+                k = order.index(min(order))
+                order = order[k:] + order[:k]
+                back = order[:1] + order[:0:-1]
+                rev[c] = int(back < order)
+                order = back if rev[c] else order
+            orders[p.curves[c]] = order
+        bits = {
+            (p.curves[lo], p.curves[hi]): (self.row[x] >> 4) ^ rev[lo] ^ rev[hi]
+            for x, (lo, hi) in enumerate(cross)
+        }
         return make_structure(p, orders, bits)
 
     def _load_fixed(self, curves: list[int], fixed: RibbonStructure) -> None:
-        """Install a complete structure on the sub-pattern of ``curves``,
-        which `_search` has validated.  The curves are the first entries of
-        the insertion plan and are walked in its order, so that each link
-        reads its components off the plan: a link to the next crossing is
-        within one component when that crossing's partner's component was
-        already met on this curve, or when it closes the curve."""
-        sub = subpattern(self.p, sorted(self.p.curves[c] for c in curves))
+        """Install a complete structure on the pinned ``curves``, which
+        `_search` has validated: one crossing per crossing of the pattern
+        between two pinned curves, and then each curve's links in its
+        visit order.  The curves are the first entries of the insertion
+        plan and are walked in its order, so that each link reads its
+        components off the plan: a link to the next crossing is within one
+        component when that crossing's partner's component was already met
+        on this curve, or when it closes the curve."""
+        p = self.p
         order_map = dict(fixed.visit_orders)
         bit_map = fixed.bits()
         xid: dict[tuple[int, int], int] = {}
-        for i, j in sub.crossings():
-            gi = self.p.index(sub.curves[i])
-            gj = self.p.index(sub.curves[j])
-            lo, hi = min(gi, gj), max(gi, gj)
-            key = tuple(sorted((sub.curves[i], sub.curves[j])))
-            x = self._new_crossing(lo, hi, bit_map[key])
-            xid[(lo, hi)] = x
+        for i, j in p.crossings():
+            if i in curves and j in curves:
+                bitv = bit_map[tuple(sorted((p.curves[i], p.curves[j])))]
+                xid[(i, j)] = self._new_crossing(i, j, bitv)
         for ci, comp in zip(curves, self.comp):
-            partners = [self.p.index(lab) for lab in order_map[self.p.curves[ci]]]
-            ids = [xid[(min(ci, pj), max(ci, pj))] for pj in partners]
-            m = len(ids)
+            partners = [p.index(lab) for lab in order_map[p.curves[ci]]]
+            ins = [
+                self._dart(xid[(min(ci, pj), max(ci, pj))], int(ci > pj), 0)
+                for pj in partners
+            ]
             seen = 0
-            for t in range(m):
-                x, nx = ids[t], ids[(t + 1) % m]
-                seen |= 1 << comp[partners[t]]
-                same = t == m - 1 or seen >> comp[partners[t + 1]] & 1
-                d_out = self._dart(x, self._side_of(x, ci), 1)
-                d_in = self._dart(nx, self._side_of(nx, ci), 0)
-                self._join(d_out, d_in, same)
-                self._arc_insert(ci, len(self.arcs[ci]), (d_out, d_in))
+            for t, pj in enumerate(partners):
+                seen |= 1 << comp[pj]
+                same = t == len(ins) - 1 or seen >> comp[partners[t + 1]] & 1
+                self._join(ci, ins[t] ^ 1, ins[(t + 1) % len(ins)], same)
 
     # -- search -----------------------------------------------------------------
 
@@ -530,8 +481,7 @@ class _Engine:
             cutoff = self._cutoff()
             if self.genus + 1 > cutoff:
                 if face is None and same:
-                    prev = strand[-1]
-                    face = self._face(self._dart(prev, self._side_of(prev, c), 1))
+                    face = self._face(strand[-1])
                 if self.genus + self._genus_step(c, q, gap, bitv, same, face) > cutoff:
                     # pruned on creation: counted as a node, never built
                     self.nodes += 1
@@ -573,28 +523,6 @@ class _Engine:
         if self.best_genus is None or g < self.best_genus:
             self.best_genus = g
             self.best_witness = witness
-
-
-def _run_pattern(
-    p: CurvePattern,
-    budget: int,
-    config: SearchConfig,
-    stop_genus: int,
-) -> tuple[Optional[int], Optional[RibbonStructure], int, bool]:
-    """Search one pattern.  Returns (genus, witness, nodes, exhausted) for
-    the least genus found within ``budget`` (None, None if there is none).
-
-    The search stops once some structure has genus <= ``stop_genus``: a
-    proven lower bound there certifies a minimum without exhausting the
-    tree, and ``stop_genus = budget`` stops at the first structure within
-    the budget.
-    """
-    # the engine lays out a pinned curve's arcs from the first entry of its
-    # cyclic order, so pin the canonical rotation
-    fixed = config.fixed.canonical() if config.fixed is not None else None
-    eng = _Engine(p, budget, stop_genus, fixed, config.node_cap)
-    eng.run()
-    return eng.best_genus, eng.best_witness, eng.nodes, not eng._stopped()
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +594,20 @@ def _search(
             note=note,
         )
 
-    if config.fixed is not None:
-        pin = _pinned_subpattern(p, config.fixed)
+    fixed = config.fixed
+    if fixed is not None:
+        pin = _pinned_subpattern(p, fixed)
+        # the engine lays out a pinned curve's arcs from the first entry of
+        # its cyclic order, so pin the canonical rotation
+        fixed = fixed.canonical()
 
     lb = f2_genus_lower_bound(p)
     if budget < lb:
         return exceeds(f"budget below homology lower bound {lb}")
 
-    if config.fixed is not None:
+    if fixed is not None:
         # a completion's genus is at least its pin's, as in the pruning
-        pin_genus = surface_of(pin, config.fixed).total_genus
+        pin_genus = surface_of(pin, fixed).total_genus
         if pin_genus > budget:
             return exceeds(f"pinned structure alone has genus {pin_genus}")
         comps = [tuple(range(len(p.curves)))]
@@ -700,17 +632,21 @@ def _search(
         sub_budget = budget - total_genus_val - sum(lbs[ci + 1 :])
         if sub_budget < lbs[ci]:
             return exceeds("component budget below homology lower bound")
-        genus, witness, nodes, exhausted = _run_pattern(
-            sub, sub_budget, config, stop_genus=sub_budget if realize else lbs[ci]
-        )
-        total_nodes += nodes
+        # the search stops once some structure has genus <= its stop genus:
+        # the homology bound certifies a minimum without exhausting the
+        # tree, and the budget stops at the first structure within it
+        stop = sub_budget if realize else lbs[ci]
+        eng = _Engine(sub, sub_budget, stop, fixed, config.node_cap)
+        eng.run()
+        total_nodes += eng.nodes
+        exhausted = not eng._stopped()
         exhausted_all = exhausted_all and exhausted
         if not (exhausted or realize):
             notes.append("reached the homology lower bound")
-        if genus is None:
+        if eng.best_genus is None:
             return exceeds("exhausted without any structure within budget")
-        total_genus_val += genus
-        witnesses.append(witness)
+        total_genus_val += eng.best_genus
+        witnesses.append(eng.best_witness)
 
     if total_genus_val > budget:
         return exceeds("component minima sum beyond budget")

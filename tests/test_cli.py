@@ -426,6 +426,23 @@ def test_manifests_identical_modulo_timing(capsys):
                 ('["b"]', '"a"', '"b"'),
             )
         ),
+        # a path that cannot be read or written as a file
+        (("realize", "bound", "--pattern", "{dir}"), None, 2),
+        (("realize", "check", "--builtin", "chain7", "--genus", "3", "--fixed", "{dir}"), None, 2),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--witness-out", "{dir}"),
+            None,
+            2,
+        ),
+        # a file that is not UTF-8
+        (("realize", "bound", "--pattern", "{file}"), b'\xff\xfe{"curves"', 2),
+        (
+            ("realize", "check", "--builtin", "chain7", "--genus", "3")
+            + ("--fixed", "{file}"),
+            b"\xff\xfe{",
+            2,
+        ),
     ],
     ids=[
         "lattice-subset",
@@ -460,13 +477,21 @@ def test_manifests_identical_modulo_timing(capsys):
         "fixed-bit-label-list",
         "fixed-bit-label-number",
         "fixed-order-label-list",
+        "pattern-directory",
+        "fixed-directory",
+        "witness-out-directory",
+        "pattern-not-utf8",
+        "fixed-not-utf8",
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, file_text, expected):
     f = tmp_path / "input.json"
-    if file_text is not None:
+    if isinstance(file_text, bytes):
+        f.write_bytes(file_text)
+    elif file_text is not None:
         f.write_text(file_text)
-    code, data = run_json(capsys, *(a.replace("{file}", str(f)) for a in argv))
+    argv = (a.replace("{file}", str(f)).replace("{dir}", str(tmp_path)) for a in argv)
+    code, data = run_json(capsys, *argv)
     assert code == expected, data
 
 

@@ -113,7 +113,7 @@ def traced_partial_genus(eng):
 
     def sigma(d):
         x = d // 4
-        b = eng.bit[x]
+        b = eng.row[x] >> 4
         rot = [4 * x, 4 * x + 2 + b, 4 * x + 1, 4 * x + 3 - b]
         i = rot.index(d)
         for step in (1, 2, 3):
@@ -506,6 +506,23 @@ def test_witness_round_trips_through_fixed_loader():
             surface_of(p, pinned.witness).components
             == surface_of(p, r.witness).components
         )
+
+
+def test_witnesses_read_each_curve_in_its_smaller_direction():
+    """A witness lists each curve's visit order from its lowest partner, in
+    the direction whose label list is smaller: no order is above its
+    reversal ``o[:1] + o[:0:-1]``."""
+    rng = random.Random(7)
+    witnesses = [min_genus(random_pattern(rng)).witness for _ in range(40)]
+    for name in ("chain7", "cycle8", "curves10", "curves11", "curves12"):
+        witnesses.append(min_genus(load_pattern(name)).witness)
+    pin = SearchConfig(fixed=load_structure("u-placement"))
+    for name in ("curves11", "curves12"):
+        witnesses.append(is_realizable(load_pattern(name), 6, pin).witness)
+    orders = [order for w in witnesses for _, order in w.visit_orders]
+    assert all(order <= order[:1] + order[:0:-1] for order in orders)
+    # the rule decides: many orders differ from their reversal
+    assert sum(order != order[:1] + order[:0:-1] for order in orders) > 50
 
 
 def test_bound_shortcut_certifies_exact_minimum():
