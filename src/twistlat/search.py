@@ -140,7 +140,9 @@ class SearchResult:
 class _Engine:
     """Insertion search on one pattern: `run` walks the whole tree depth
     first, pruning against one best genus, until a structure reaches the
-    stop genus or the tree is exhausted."""
+    stop genus or the tree is exhausted.  The walk makes two kinds of
+    change, placing one crossing and closing one strand, and undoes each
+    by its exact inverse, last in, first out."""
 
     def __init__(
         self,
@@ -193,7 +195,6 @@ class _Engine:
         self.arcs: dict[int, list[tuple[int, int]]] = {
             i: [] for i in range(len(pattern.curves))
         }
-        self.journal: list[tuple] = []
         self.nodes = 0
 
         # results
@@ -203,7 +204,7 @@ class _Engine:
         if fixed is not None:
             self._load_fixed(order[: len(pinned)], fixed)
 
-    # -- low-level journaled mutations ---------------------------------------
+    # -- links and faces -----------------------------------------------------
 
     def _dart(self, x: int, side: int, slot: int) -> int:
         return 4 * x + 2 * side + slot
@@ -219,14 +220,6 @@ class _Engine:
         self.link[d2] = -1
         self.row[d1 >> 2] &= ~(1 << (d1 & 3))
         self.row[d2 >> 2] &= ~(1 << (d2 & 3))
-
-    def _link(self, d1: int, d2: int) -> None:
-        self._attach(d1, d2)
-        self.journal.append(("unlink", d1, d2))
-
-    def _unlink(self, d1: int, d2: int) -> None:
-        self._detach(d1, d2)
-        self.journal.append(("link", d1, d2))
 
     def _corner(self, d: int) -> int:
         """The corner that open dart ``d`` would be linked into, named by
@@ -252,53 +245,21 @@ class _Engine:
         (``same``) raises it by 1 when its corners lie on different faces.
         A loop at a crossing with no links yet keeps the genus."""
         if same and self.row[d1 >> 2] & 15 and self._corner(d2) not in self._face(d1):
-            self.journal.append(("genus", self.genus))
             self.genus += 1
-        self._link(d1, d2)
-        self._arc_insert(c, len(self.arcs[c]), (d1, d2))
+        self._attach(d1, d2)
+        self.arcs[c].append((d1, d2))
 
-    def _arc_insert(self, curve: int, pos: int, arc: tuple[int, int]) -> None:
-        self.arcs[curve].insert(pos, arc)
-        self.journal.append(("arc_pop", curve, pos))
-
-    def _arc_remove(self, curve: int, pos: int) -> tuple[int, int]:
-        arc = self.arcs[curve].pop(pos)
-        self.journal.append(("arc_put", curve, pos, arc))
-        return arc
+    def _unjoin(self, c: int) -> None:
+        """Undo `_join` on curve ``c`` but for the genus, which the caller
+        restores."""
+        self._detach(*self.arcs[c].pop())
 
     def _new_crossing(self, ci: int, cj: int, bitv: int) -> int:
         x = len(self.cross)
         self.cross.append((min(ci, cj), max(ci, cj)))
         self.link.extend((-1, -1, -1, -1))
         self.row.append(16 * bitv)
-        self.journal.append(("pop_crossing",))
         return x
-
-    def _mark(self) -> int:
-        return len(self.journal)
-
-    def _rewind(self, token: int) -> None:
-        journal = self.journal
-        while len(journal) > token:
-            op = journal.pop()
-            tag = op[0]
-            # the tags in falling order of frequency
-            if tag == "unlink":
-                self._detach(op[1], op[2])
-            elif tag == "arc_pop":
-                self.arcs[op[1]].pop(op[2])
-            elif tag == "pop_crossing":
-                self.cross.pop()
-                self.row.pop()
-                del self.link[-4:]
-            elif tag == "link":
-                self._attach(op[1], op[2])
-            elif tag == "arc_put":
-                self.arcs[op[1]].insert(op[2], op[3])
-            elif tag == "genus":
-                self.genus = op[1]
-            else:
-                raise AssertionError(f"unknown journal op {tag}")
 
     # -- placements ----------------------------------------------------------
 
@@ -317,26 +278,42 @@ class _Engine:
         d1 = self._dart(x, 1 - side_c, 1)
         p_arcs = self.arcs[partner]
         if p_arcs:
-            # subdividing an arc keeps the genus
-            d_a, d_b = self._arc_remove(partner, gap)
-            self._unlink(d_a, d_b)
-            self._link(d_a, d0)
-            self._link(d1, d_b)
-            self._arc_insert(partner, gap, (d_a, d0))
-            self._arc_insert(partner, gap + 1, (d1, d_b))
+            # subdividing an arc keeps the genus; d_a and d_b stay linked,
+            # so only the new crossing's row changes
+            d_a, d_b = p_arcs[gap]
+            self._attach(d_a, d0)
+            self._attach(d1, d_b)
+            p_arcs[gap : gap + 1] = ((d_a, d0), (d1, d_b))
         else:
             # partner's first crossing: its closed curve becomes a loop arc,
             # which keeps the genus
-            self._link(d1, d0)
-            self._arc_insert(partner, 0, (d1, d0))
+            self._attach(d1, d0)
+            p_arcs.append((d1, d0))
         d_in = self._dart(x, side_c, 0)
         if strand:
             self._join(c, strand[-1], d_in, same)
         strand.append(d_in ^ 1)
 
-    def _close_strand(self, c: int, strand: list[int]) -> None:
-        """Link the last out-dart of ``c``'s strand to its first in-dart."""
-        self._join(c, strand[-1], strand[0] ^ 1, True)
+    def _unplace_crossing(
+        self, c: int, partner: int, gap: int, strand: list[int]
+    ) -> None:
+        """Undo `_place_crossing` but for the genus, which the caller
+        restores.  The new crossing is the last one, so popping it drops
+        its row and links; older crossings' rows never changed."""
+        strand.pop()
+        if strand:
+            self._unjoin(c)
+        p_arcs = self.arcs[partner]
+        if len(p_arcs) == 1:
+            p_arcs.pop()
+        else:
+            d_a, d_b = p_arcs[gap][0], p_arcs.pop(gap + 1)[1]
+            p_arcs[gap] = (d_a, d_b)
+            self.link[d_a] = d_b
+            self.link[d_b] = d_a
+        self.cross.pop()
+        self.row.pop()
+        del self.link[-4:]
 
     def _genus_step(self, c, q, gap, bitv, same, face) -> int:
         """The genus change of `_place_crossing` (c, q, gap, bitv, same),
@@ -452,15 +429,17 @@ class _Engine:
         within one component exactly when its partner's bit is set."""
         if self._stopped():
             return
+        genus = self.genus
         if forced_next is None and not remaining:
-            # closure of the strand: one forced option
-            tok = self._mark()
-            self._close_strand(c, strand)
+            # closure of the strand: link its last out-dart to its first
+            # in-dart, one forced option
+            self._join(c, strand[-1], strand[0] ^ 1, True)
             self.nodes += 1
             self._check_cap()
             if self.genus <= self._cutoff():
                 self._dfs_curve(k + 1)
-            self._rewind(tok)
+            self._unjoin(c)
+            self.genus = genus
             return
 
         candidates = [forced_next] if forced_next is not None else list(remaining)
@@ -479,15 +458,14 @@ class _Engine:
             same = seen >> comp[q] & 1
             # a witness found under an earlier option may have lowered it
             cutoff = self._cutoff()
-            if self.genus + 1 > cutoff:
+            if genus + 1 > cutoff:
                 if face is None and same:
                     face = self._face(strand[-1])
-                if self.genus + self._genus_step(c, q, gap, bitv, same, face) > cutoff:
+                if genus + self._genus_step(c, q, gap, bitv, same, face) > cutoff:
                     # pruned on creation: counted as a node, never built
                     self.nodes += 1
                     self._check_cap()
                     continue
-            tok = self._mark()
             self._place_crossing(c, q, gap, bitv, strand, same)
             self.nodes += 1
             self._check_cap()
@@ -507,8 +485,8 @@ class _Engine:
                     filter_ok,
                     seen | 1 << comp[q],
                 )
-            self._rewind(tok)
-            strand.pop()
+            self._unplace_crossing(c, q, gap, strand)
+            self.genus = genus
             if self._stopped():
                 return
 
@@ -671,7 +649,7 @@ def _pinned_subpattern(p: CurvePattern, fixed: RibbonStructure) -> CurvePattern:
     missing = labels - set(p.curves)
     if missing:
         raise InvalidInputError(f"fixed structure names unknown curves {missing}")
-    sub = subpattern(p, sorted(labels))
+    sub = subpattern(p, [lab for lab in p.curves if lab in labels])
     if set(sub.curves) != labels:
         raise InvalidInputError("fixed structure isolates some of its own curves")
     problems = validate_structure(sub, fixed)

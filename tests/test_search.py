@@ -11,6 +11,7 @@ import twistlat
 from twistlat import (
     InconclusiveError,
     InvalidInputError,
+    enumerate_structures,
     is_realizable,
     make_pattern,
     min_genus,
@@ -155,7 +156,7 @@ def genus_checked(monkeypatch):
     built, because its predicted genus is past the cutoff, is built from its
     parent when `_genus_step` predicts it, on the strand of the innermost
     `_dfs_place`, traced against the parent's genus plus the prediction, and
-    rewound.  Each check is (built, genus)."""
+    undone.  Each check is (built, genus)."""
     from twistlat import search
 
     engine = search._Engine
@@ -176,11 +177,11 @@ def genus_checked(monkeypatch):
     def checked_genus_step(self, c, q, gap, bitv, same, face):
         strand = strands[-1]
         step = genus_step(self, c, q, gap, bitv, same, face)
-        tok, expected = self._mark(), self.genus + step
+        tok, genus, expected = len(self.cross), self.genus, self.genus + step
         place_crossing(self, c, q, gap, bitv, strand, same)
         traced = traced_partial_genus(self)
-        self._rewind(tok)
-        strand.pop()
+        self._unplace_crossing(c, q, gap, strand)
+        self.genus = genus
         if traced != expected:
             raise AssertionError(f"predicted genus {expected}, traced {traced}")
         if expected > self._cutoff():
@@ -190,7 +191,7 @@ def genus_checked(monkeypatch):
     def checked_check_cap(self):
         if unbuilt:
             tok, traced = unbuilt.pop()
-            if self._mark() != tok:
+            if len(self.cross) != tok:
                 raise AssertionError("a child predicted past the cutoff was built")
             checks.append((False, traced))
         else:
@@ -270,6 +271,39 @@ def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypa
     assert (eng.best_genus, eng.nodes) == (3, 103)
     assert joins == [("u", "e")] * 8
     assert len(genus_checked) == eng.nodes
+
+
+def test_each_placement_is_undone_exactly(monkeypatch):
+    """Every `_dfs_place` call returns with the crossings, links, rows,
+    arcs, genus and strand it was entered with: each placement and each
+    strand closure is undone by its exact inverse."""
+    from twistlat import search
+
+    dfs_place = search._Engine._dfs_place
+    calls = []
+
+    def state(eng, strand):
+        arcs = {c: list(a) for c, a in eng.arcs.items()}
+        lists = (eng.cross, eng.link, eng.row, strand)
+        return [list(xs) for xs in lists] + [arcs, eng.genus]
+
+    def restoring_dfs_place(self, c, k, forced_next, remaining, strand, *rest):
+        before = state(self, strand)
+        dfs_place(self, c, k, forced_next, remaining, strand, *rest)
+        assert state(self, strand) == before
+        calls.append(c)
+
+    monkeypatch.setattr(search._Engine, "_dfs_place", restoring_dfs_place)
+    rng = random.Random(7)
+    for _ in range(25):
+        p = random_pattern(rng)
+        eng = search._Engine(p, min_genus(p).genus + 1, stop_genus=-1)
+        eng.run()
+    unpinned = len(calls)
+    cfg = SearchConfig(fixed=load_structure("u-placement"))
+    r = is_realizable(load_pattern("curves11"), 5, cfg)
+    assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
+    assert unpinned > 1_000 and len(calls) - unpinned == 3_913
 
 
 def test_pin_loads_in_plan_order():
@@ -485,6 +519,18 @@ def test_pin_above_budget_exceeds_without_search(name):
         for res in (min_genus(p, budget, cfg), is_realizable(p, budget, cfg)):
             assert (res.kind, res.nodes_explored, res.exhausted) == ("exceeds", 0, True)
     assert min_genus(p, 4, cfg).note == "pinned structure alone has genus 5"
+
+
+def test_pin_genus_reads_bits_in_pattern_order():
+    """A pin's genus is traced with the pattern's crossing convention,
+    curves x < y in pattern order, as the engine and `surface_of(p, .)`
+    read it.  K4 listed b, a, c, d, pinned on all four curves by each of
+    its 1,024 structures, is realizable at the pin's own traced genus."""
+    p = make_pattern(list("bacd"), list(itertools.combinations("abcd", 2)))
+    for r in enumerate_structures(p):
+        g = surface_of(p, r).total_genus
+        res = is_realizable(p, g, SearchConfig(fixed=r))
+        assert (res.kind, res.genus) == ("realizable", g), r
 
 
 def test_witness_round_trips_through_fixed_loader():
