@@ -5,28 +5,30 @@ first.  Placing a curve means choosing, crossing by crossing, which
 partner comes next in its cyclic order, which arc of the partner the
 crossing subdivides, and the crossing's orientation bit.  After every
 placement the partial ribbon graph's neighborhood genus is updated from
-the links it adds, by Euler's formula: subdividing an arc, or a loop at a
+the link it adds, by Euler's formula: subdividing an arc, or a loop at a
 crossing with no links yet, keeps the genus; a link joining two components
 keeps it; a link within one component raises it by 1 exactly when its two
-corners lie on different faces, which one face walk decides.  Components
-are read off the insertion plan, not tracked: every inserted curve but the
-one being placed is complete, so a crossing lies in the component of its
-partner among the curves inserted before, and the open strand joins the
-components of the partners it has met.  Since a sub-ribbon-graph's
+corners lie on different faces.  Components are read off the insertion
+plan, not tracked: every inserted curve but the one being placed is
+complete, so a crossing lies in the component of its partner among the
+curves inserted before, and the open strand joins the components of the
+partners it has met.  Each search node walks one face, the one at its
+strand's open end, once some partner lies in a component the strand has
+met; every child's genus change is read off that walk before the child is
+built, and its placement adds the change.  Only a strand's closure and the
+pin loader walk a face at the link itself.  Since a sub-ribbon-graph's
 neighborhood embeds in any completion's neighborhood, the partial genus is
 a valid lower bound and branches exceeding the budget (or the best leaf so
-far) are pruned.  A child whose one new link would raise the genus past
-that cutoff is counted as a node but not built: one face walk at the
-strand's open end, shared by all the children of a node, decides this
-before any placement.  Every leaf within the budget is re-traced by
-`ribbon.surface_of`, which must agree.  "Exceeds" verdicts are issued
-only after the pruned tree is exhausted (or when the budget is already
-below the homology bound or the pinned structure's own genus); exact
-minima are certified early once some structure reaches the homology
-bound, since nothing can lie below it.  There is one search mode:
-it stops once a structure has genus <= a stop genus.  `min_genus` stops at
-the homology bound; `is_realizable(p, g)` is the same search stopped at g,
-so it ends at the first structure within the budget.
+far) are pruned: a child whose genus change would take it past that cutoff
+is counted as a node but not built.  Every leaf within the budget is
+re-traced by `ribbon.surface_of`, which must agree.  "Exceeds" verdicts
+are issued only after the pruned tree is exhausted (or when the budget is
+already below the homology bound or the pinned structure's own genus);
+exact minima are certified early once some structure reaches the homology
+bound, since nothing can lie below it.  There is one search mode: it stops
+once a structure has genus <= a stop genus.  `min_genus` stops at the
+homology bound; `is_realizable(p, g)` is the same search stopped at g, so
+it ends at the first structure within the budget.
 
 The internal state is orientation-free: rotations live on slot pairs
 created in insertion order, so the per-curve orientation redundancy of the
@@ -238,14 +240,22 @@ class _Engine:
             d = (e & ~3) | nxt[row[e >> 2]][e & 3]
         return face
 
-    def _join(self, c: int, d1: int, d2: int, same: bool) -> None:
-        """Link the open out-dart ``d1`` of curve ``c`` to its next in-dart
-        ``d2``, append the arc to ``c``'s arcs, and keep the genus by Euler's
-        formula: a link between components keeps it, and a link within one
-        (``same``) raises it by 1 when its corners lie on different faces.
-        A loop at a crossing with no links yet keeps the genus."""
+    def _link_step(self, d1: int, d2: int, same: int) -> int:
+        """The genus change of linking open dart ``d1`` to ``d2``, by one
+        face walk at the link: +1 when it is within one component (``same``)
+        from a crossing with links, and its corners lie on different faces.
+        Only a strand's closure and the pin loader need it."""
         if same and self.row[d1 >> 2] & 15 and self._corner(d2) not in self._face(d1):
-            self.genus += 1
+            return 1
+        return 0
+
+    def _join(self, c: int, d1: int, d2: int, step: int) -> None:
+        """Link the open out-dart ``d1`` of curve ``c`` to its next in-dart
+        ``d2``, append the arc to ``c``'s arcs, and add ``step``, the link's
+        genus change, to the genus.  A placement's step is read off its
+        search node's face walk (`_genus_step`), and any other link's off a
+        walk at the link itself (`_link_step`); `_join` walks no face."""
+        self.genus += step
         self._attach(d1, d2)
         self.arcs[c].append((d1, d2))
 
@@ -270,7 +280,7 @@ class _Engine:
         gap: int,
         bitv: int,
         strand: list[int],
-        same: bool,
+        step: int,
     ) -> None:
         x = self._new_crossing(c, partner, bitv)
         side_c = int(c > partner)
@@ -291,7 +301,7 @@ class _Engine:
             p_arcs.append((d1, d0))
         d_in = self._dart(x, side_c, 0)
         if strand:
-            self._join(c, strand[-1], d_in, same)
+            self._join(c, strand[-1], d_in, step)
         strand.append(d_in ^ 1)
 
     def _unplace_crossing(
@@ -316,12 +326,12 @@ class _Engine:
         del self.link[-4:]
 
     def _genus_step(self, c, q, gap, bitv, same, face) -> int:
-        """The genus change of `_place_crossing` (c, q, gap, bitv, same),
-        read off before the placement.  Subdividing the arc (d_a, d_b) keeps
-        every face, and the new crossing's corner lies on the face of ``d_a``
-        or of ``d_b``, by its bit and its side; so the one `_join` raises the
-        genus exactly when it is within one component (``same``) and the
-        corner is not on ``face``, the face at the strand's open end."""
+        """The genus change that `_place_crossing` (c, q, gap, bitv) adds.
+        Subdividing the arc (d_a, d_b) keeps every face, and the new
+        crossing's corner lies on the face of ``d_a`` or of ``d_b``, by its
+        bit and its side; so the one link raises the genus exactly when it is
+        within one component (``same``) and the corner is not on ``face``,
+        the node's one walk of the face at the strand's open end."""
         if not same:
             return 0
         d_a, d_b = self.arcs[q][gap]
@@ -383,7 +393,8 @@ class _Engine:
             for t, pj in enumerate(partners):
                 seen |= 1 << comp[pj]
                 same = t == len(ins) - 1 or seen >> comp[partners[t + 1]] & 1
-                self._join(ci, ins[t] ^ 1, ins[(t + 1) % len(ins)], same)
+                d1, d2 = ins[t] ^ 1, ins[(t + 1) % len(ins)]
+                self._join(ci, d1, d2, self._link_step(d1, d2, same))
 
     # -- search -----------------------------------------------------------------
 
@@ -426,14 +437,17 @@ class _Engine:
     def _dfs_place(self, c, k, forced_next, remaining, strand, q2, filter_ok, seen):
         """Place the strand's next crossing.  ``seen`` is the bitmask of the
         components (`comp` names) its crossings lie in: a placement links
-        within one component exactly when its partner's bit is set."""
+        within one component exactly when its partner's bit is set.  The
+        face at the strand's open end is walked once, at the first such
+        partner, and every child's genus change is read off that walk."""
         if self._stopped():
             return
         genus = self.genus
         if forced_next is None and not remaining:
             # closure of the strand: link its last out-dart to its first
             # in-dart, one forced option
-            self._join(c, strand[-1], strand[0] ^ 1, True)
+            d1, d2 = strand[-1], strand[0] ^ 1
+            self._join(c, d1, d2, self._link_step(d1, d2, True))
             self.nodes += 1
             self._check_cap()
             if self.genus <= self._cutoff():
@@ -442,53 +456,37 @@ class _Engine:
             self.genus = genus
             return
 
-        candidates = [forced_next] if forced_next is not None else list(remaining)
-        options: list[tuple[int, int, int]] = []
-        for q in candidates:
-            if filter_ok and len(remaining) == 1 and q2 is not None and q < q2:
-                continue  # this cyclic order is the reversal of one already done
-            gaps = max(1, len(self.arcs[q]))
-            for gap in range(gaps):
-                for bitv in self._bit_choices(c, q):
-                    options.append((q, gap, bitv))
-
         comp = self.comp[k]
         face = None  # the face at the strand's open end, walked on demand
-        for q, gap, bitv in options:
+        cutoff = self._cutoff()
+        for q in [forced_next] if forced_next is not None else remaining:
+            if filter_ok and len(remaining) == 1 and q2 is not None and q < q2:
+                continue  # this cyclic order is the reversal of one already done
             same = seen >> comp[q] & 1
-            # a witness found under an earlier option may have lowered it
-            cutoff = self._cutoff()
-            if genus + 1 > cutoff:
-                if face is None and same:
-                    face = self._face(strand[-1])
-                if genus + self._genus_step(c, q, gap, bitv, same, face) > cutoff:
-                    # pruned on creation: counted as a node, never built
+            if same and face is None:
+                face = self._face(strand[-1])
+            bits = self._bit_choices(c, q)
+            rest = [r for r in remaining if r != q] if forced_next is None else remaining
+            nxt_q2 = q if forced_next is None and q2 is None else q2
+            nxt_seen = seen | 1 << comp[q]
+            for gap in range(max(1, len(self.arcs[q]))):
+                for bitv in bits:
+                    step = self._genus_step(c, q, gap, bitv, same, face)
+                    if genus + step > cutoff:
+                        # pruned on creation: counted as a node, never built
+                        self.nodes += 1
+                        self._check_cap()
+                        continue
+                    self._place_crossing(c, q, gap, bitv, strand, step)
                     self.nodes += 1
                     self._check_cap()
-                    continue
-            self._place_crossing(c, q, gap, bitv, strand, same)
-            self.nodes += 1
-            self._check_cap()
-            if self.genus <= cutoff:
-                nxt_remaining = (
-                    remaining
-                    if forced_next is not None
-                    else [r for r in remaining if r != q]
-                )
-                self._dfs_place(
-                    c,
-                    k,
-                    None,
-                    nxt_remaining,
-                    strand,
-                    q if (forced_next is None and q2 is None) else q2,
-                    filter_ok,
-                    seen | 1 << comp[q],
-                )
-            self._unplace_crossing(c, q, gap, strand)
-            self.genus = genus
-            if self._stopped():
-                return
+                    self._dfs_place(c, k, None, rest, strand, nxt_q2, filter_ok, nxt_seen)
+                    self._unplace_crossing(c, q, gap, strand)
+                    self.genus = genus
+                    if self._stopped():
+                        return
+                    # a witness found under that child may have lowered it
+                    cutoff = self._cutoff()
 
     def _leaf(self) -> None:
         g = self.genus
@@ -508,8 +506,8 @@ class _Engine:
 
 
 def _default_budget(p: CurvePattern) -> int:
-    # chi = -V, so a connected neighborhood has genus <= (V + 1) // 2 + 1;
-    # a disconnected one has the sum of its components' genera
+    # chi = -V, so a connected neighborhood with b >= 1 boundaries has genus
+    # (V + 2 - b) / 2, within (V + 2) // 2 + 1; components' genera add up
     budget = 0
     for comp in p.components():
         v = sum(sum(p.inter[i]) for i in comp) // 2  # the component's crossings

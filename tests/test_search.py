@@ -178,7 +178,7 @@ def genus_checked(monkeypatch):
         strand = strands[-1]
         step = genus_step(self, c, q, gap, bitv, same, face)
         tok, genus, expected = len(self.cross), self.genus, self.genus + step
-        place_crossing(self, c, q, gap, bitv, strand, same)
+        place_crossing(self, c, q, gap, bitv, strand, step)
         traced = traced_partial_genus(self)
         self._unplace_crossing(c, q, gap, strand)
         self.genus = genus
@@ -259,10 +259,13 @@ def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypa
     place_crossing = search._Engine._place_crossing
     joins = []
 
-    def counted_place_crossing(self, c, q, gap, bitv, strand, same):
-        if strand and not same and self.arcs[q]:
+    def counted_place_crossing(self, c, q, gap, bitv, strand, step):
+        # the components the strand has met, named as in `_Engine.comp`
+        comp = self.comp[[s and s[0] for s in self.plan].index(c)]
+        met = {comp[sum(self.cross[d >> 2]) - c] for d in strand}
+        if strand and comp[q] not in met and self.arcs[q]:
             joins.append((self.p.curves[c], self.p.curves[q]))
-        place_crossing(self, c, q, gap, bitv, strand, same)
+        place_crossing(self, c, q, gap, bitv, strand, step)
 
     monkeypatch.setattr(search._Engine, "_place_crossing", counted_place_crossing)
     q = reordered(load_pattern("curves10"), list("abefucdghv"))
@@ -271,6 +274,41 @@ def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypa
     assert (eng.best_genus, eng.nodes) == (3, 103)
     assert joins == [("u", "e")] * 8
     assert len(genus_checked) == eng.nodes
+
+
+@pytest.mark.parametrize(
+    "name, search_fn, genus, pin, nodes",
+    [
+        ("curves11", is_realizable, 5, "u-placement", 18_542),
+        ("curves12", min_genus, None, None, 171_040),
+    ],
+    ids=["curves11-pinned-5", "curves12-min-genus"],
+)
+def test_at_most_one_face_walk_per_node(monkeypatch, name, search_fn, genus, pin, nodes):
+    """Every placement takes its genus change from its node's one face
+    walk, so a search walks no more faces than it has `_dfs_place` calls
+    (one walk per node, or one at a strand's closure) plus the pin
+    loader's links, one per crossing of each pinned curve."""
+    from twistlat import search
+
+    face, dfs_place = search._Engine._face, search._Engine._dfs_place
+    counts = {"face": 0, "dfs_place": 0}
+
+    def counted_face(self, d):
+        counts["face"] += 1
+        return face(self, d)
+
+    def counted_dfs_place(self, *args):
+        counts["dfs_place"] += 1
+        dfs_place(self, *args)
+
+    monkeypatch.setattr(search._Engine, "_face", counted_face)
+    monkeypatch.setattr(search._Engine, "_dfs_place", counted_dfs_place)
+    fixed = load_structure(pin) if pin is not None else None
+    r = search_fn(load_pattern(name), genus, SearchConfig(fixed=fixed))
+    assert r.nodes_explored == nodes
+    links = sum(len(order) for _, order in fixed.visit_orders) if fixed else 0
+    assert 0 < counts["face"] <= counts["dfs_place"] + links
 
 
 def test_each_placement_is_undone_exactly(monkeypatch):
