@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 
 from . import __version__
 from . import builtin as bdata
@@ -50,6 +51,7 @@ from .ribbon import (
 )
 from .search import SearchConfig, is_realizable, min_genus
 from .transvect import (
+    RelationReport,
     chain_parity_check,
     conjugacy_witnesses,
     invariant_span_closure,
@@ -256,77 +258,94 @@ def _algebra(k: int):
     return build_gamma(k), quotient_lattice(gram_matrix(k))
 
 
-# The `_*_check` functions compute each fact once and return (ok, payload);
-# a fact's subcommand and its verify-paper row both call its function.
+@dataclass(frozen=True)
+class Check:
+    """One checked fact: its `verify-paper` row (name, verdict, detail) and
+    the data its own subcommand reports."""
+
+    name: str
+    ok: bool
+    detail: str
+    data: dict = field(default_factory=dict)
 
 
-def _relations_check(q, g, sign: int) -> tuple[bool, dict]:
-    """The pair and triangle relations and the transvection shape, for one
-    sign; `checks` holds one verdict per verify-paper row."""
+def _report(run: _Run, verdict: str, check: Check, line: str) -> int:
+    """A single-check subcommand: the check's data, verdict, line and exit code."""
+    run.payload = check.data
+    run.verdicts[verdict] = check.ok
+    run.say(line)
+    return EXIT_OK if check.ok else EXIT_CHECK_FAILED
+
+
+def _relations_check(q, g, sign: int) -> tuple[RelationReport, bool]:
+    """The relation report, and whether each transvection has its shape."""
     rep = verify_all_relations(q, g, sign=sign)
-    checks = {
-        "transvection-shape": all(transvection_shape(q, v, sign).ok for v in g.vertices),
-        "pair-relations": not rep.pair_failures,
-        "triangle-relations": not rep.triangle_failures,
-    }
-    return all(checks.values()), {"report": rep, "checks": checks}
+    return rep, all(transvection_shape(q, v, sign).ok for v in g.vertices)
 
 
-def _qform_check(q, g) -> tuple[bool, dict]:
+def _qform_check(q, g) -> Check:
     """The quadratic refinement: its identity, its invariance under every
     generator, and q = 1 on every class."""
     ref = quadratic_refinement(q)
     values = [ref.value(c) for c in q.class_map]
-    checks = {
-        "identity": refinement_identity_ok(ref),
-        "invariance": all(refinement_invariant_under(ref, q, v) for v in g.vertices),
-        "q(class)=1": all(x == 1 for x in values),
-    }
-    return all(checks.values()), {
-        "checks": checks,
-        "identity_ok": checks["identity"],
-        "invariant_ok": checks["invariance"],
-        "values_on_classes": values,
-        "table": list(ref.table),
-    }
+    identity = refinement_identity_ok(ref)
+    invariant = all(refinement_invariant_under(ref, q, v) for v in g.vertices)
+    return Check(
+        "quadratic-refinement",
+        identity and invariant and all(x == 1 for x in values),
+        "q=1 on classes, identity + invariance exhaustively",
+        {
+            "identity_ok": identity,
+            "invariant_ok": invariant,
+            "values_on_classes": values,
+            "table": list(ref.table),
+        },
+    )
 
 
-def _closure_check(q, g, seeds) -> tuple[bool, dict]:
+def _closure_check(q, g, seeds) -> Check:
     """Dimension of the invariant span closure from each seed generator;
     ok iff every one is the full rank."""
     dims = {
         vertex_str(v): invariant_span_closure(q, [q.class_map[g.vertex_index(v)]])
         for v in seeds
     }
-    ok = all(d == q.rank for d in dims.values())
-    return ok, {"closure_dims": dims, "rank": q.rank}
+    return Check(
+        "irreducibility",
+        all(d == q.rank for d in dims.values()),
+        "closure from each generator direction = 10",
+        {"closure_dims": dims, "rank": q.rank},
+    )
 
 
-def _parity_check(q) -> tuple[bool, dict]:
+def _parity_check(q) -> Check:
     """The alternating chain sum is nonzero with odd pairing parity."""
     nonzero, parity = chain_parity_check(q)
-    return nonzero and parity == 1, {"nonzero": nonzero, "parity": parity}
+    return Check(
+        "homology-parity",
+        nonzero and parity == 1,
+        f"sum nonzero={nonzero}, parity={parity}",
+        {"nonzero": nonzero, "parity": parity},
+    )
 
 
 def cmd_rep_check_relations(run: _Run, args) -> int:
     g, q = _algebra(args.k)
     ok = True
     for sign in [1, -1] if args.sign == "both" else [int(args.sign)]:
-        sign_ok, res = _relations_check(q, g, sign)
-        rep = res["report"]
+        rep, shape_ok = _relations_check(q, g, sign)
         run.verdicts[f"relations(sign={sign:+d})"] = rep.ok
-        run.verdicts[f"transvection-shape(sign={sign:+d})"] = res["checks"]["transvection-shape"]
+        run.verdicts[f"transvection-shape(sign={sign:+d})"] = shape_ok
         run.say(
             f"sign {sign:+d}: {rep.pairs_checked} pairs, "
             f"{rep.triangles_checked} triangles, "
-            f"{'ok' if sign_ok else 'FAILED'}"
+            f"{'ok' if rep.ok and shape_ok else 'FAILED'}"
         )
-        if not rep.ok:
-            for item in rep.pair_failures[:5]:
-                run.say(f"  pair failure: {item}")
-            for item in rep.triangle_failures[:5]:
-                run.say(f"  triangle failure: {item}")
-        ok = ok and sign_ok
+        for item in rep.pair_failures[:5]:
+            run.say(f"  pair failure: {item}")
+        for item in rep.triangle_failures[:5]:
+            run.say(f"  triangle failure: {item}")
+        ok = ok and rep.ok and shape_ok
     run.payload = {"ok": ok}
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -347,38 +366,27 @@ def cmd_rep_witnesses(run: _Run, args) -> int:
 
 def cmd_rep_qform(run: _Run, args) -> int:
     g, q = _algebra(args.k)
-    ok, res = _qform_check(q, g)
-    checks = res.pop("checks")
-    run.payload = res
-    run.verdicts["qform"] = ok
-    run.say(
-        "quadratic refinement: "
-        + ", ".join(f"{name} {'ok' if c else 'FAILED'}" for name, c in checks.items())
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    c = _qform_check(q, g)
+    d = c.data
+    flags = (d["identity_ok"], d["invariant_ok"], all(x == 1 for x in d["values_on_classes"]))
+    line = "quadratic refinement: identity {}, invariance {}, q(class)=1 {}"
+    return _report(run, "qform", c, line.format(*("ok" if f else "FAILED" for f in flags)))
 
 
 def cmd_rep_irreducible(run: _Run, args) -> int:
     g, q = _algebra(args.k)
     seeds = [parse_vertex(args.seed)] if args.seed else g.vertices
-    ok, run.payload = _closure_check(q, g, seeds)
-    run.verdicts["irreducible"] = ok
-    dims = run.payload["closure_dims"]
-    run.say(
-        "invariant span closure from "
-        + ("all single-generator seeds" if not args.seed else args.seed)
-        + f": {'all ' if not args.seed else ''}{set(dims.values())} (rank {q.rank})"
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    c = _closure_check(q, g, seeds)
+    dims = set(c.data["closure_dims"].values())
+    seed = f"{args.seed}: " if args.seed else "all single-generator seeds: all "
+    line = f"invariant span closure from {seed}{dims} (rank {q.rank})"
+    return _report(run, "irreducible", c, line)
 
 
 def cmd_rep_parity(run: _Run, args) -> int:
-    ok, run.payload = _parity_check(quotient_lattice(gram_matrix(4)))
-    run.verdicts["parity"] = ok
-    run.say(
-        "alternating chain sum: nonzero={nonzero}, pairing parity={parity}".format(**run.payload)
-    )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    c = _parity_check(quotient_lattice(gram_matrix(4)))
+    line = "alternating chain sum: nonzero={nonzero}, pairing parity={parity}"
+    return _report(run, "parity", c, line.format(**c.data))
 
 
 def cmd_rep_export(run: _Run, args) -> int:
@@ -433,7 +441,7 @@ def cmd_chains_enumerate(run: _Run, args) -> int:
     return EXIT_OK
 
 
-def _partners_check(g) -> tuple[bool, dict]:
+def _partners_check(g) -> Check:
     """A commuting partner on the canonical 7-chain exists exactly for the
     non-extremal vertices."""
     rows = {}
@@ -442,16 +450,20 @@ def _partners_check(g) -> tuple[bool, dict]:
         w = g.commuting_partner_witness(BR8_CHAIN, v)
         rows[vertex_str(v)] = w
         ok = ok and ((w is not None) == (not g.is_extremal(v)))
-    return ok, {"witnesses": rows}
+    return Check(
+        "commuting-partners",
+        ok,
+        "witness for all 14 non-extremal, none for extremal",
+        {"witnesses": rows},
+    )
 
 
 def cmd_chains_witnesses(run: _Run, args) -> int:
-    ok, run.payload = _partners_check(build_gamma(4))
-    run.verdicts["commuting-partners"] = ok
-    for v, w in sorted(run.payload["witnesses"].items()):
+    c = _partners_check(build_gamma(4))
+    for v, w in sorted(c.data["witnesses"].items()):
         run.say(f"  {v}: {'none' if w is None else f'chain position {w}'}")
-    run.say("witness pattern " + ("consistent" if ok else "INCONSISTENT"))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    line = "witness pattern " + ("consistent" if c.ok else "INCONSISTENT")
+    return _report(run, "commuting-partners", c, line)
 
 
 # -- realize ---------------------------------------------------------------------
@@ -556,31 +568,19 @@ _CURVES12_PATTERN_MIN_GENUS = 4
 _DEVIATIONS_SECTION = "Computed deviations from the stated values"
 
 
-def _scoreboard(run: _Run, args) -> int:
-    rows: list[tuple[str, bool, str]] = []
-
-    def row(name: str, ok: bool, detail: str) -> None:
-        rows.append((name, ok, detail))
-        run.say(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-    g = build_gamma(4)
-    g3 = build_gamma(3)
-    ok = (
-        len(g.vertices) == 16
-        and len(g.edges) == 65
-        and len(g3.vertices) == 8
-        and len(g3.edges) == 19
+def _paper_checks(fallback_only: bool):
+    """The rows of `verify-paper`, in scoreboard order, each computed when
+    it is reached."""
+    g, g3 = build_gamma(4), build_gamma(3)
+    ok = (len(g.vertices), len(g.edges), len(g3.vertices), len(g3.edges)) == (16, 65, 8, 19)
+    agree = all(
+        gk.is_edge(u, v) == no_opposite_pair(u, v)
+        for gk in map(build_gamma, (1, 2, 3, 4, 5))
+        for u in gk.vertices
+        for v in gk.vertices
+        if u != v
     )
-    agree = True
-    for k in (1, 2, 3, 4, 5):
-        gk = build_gamma(k)
-        agree = agree and all(
-            gk.is_edge(u, v) == no_opposite_pair(u, v)
-            for u in gk.vertices
-            for v in gk.vertices
-            if u != v
-        )
-    row(
+    yield Check(
         "graph-shape",
         ok and agree,
         f"k=4: {len(g.vertices)}v/{len(g.edges)}e, k=3: "
@@ -588,34 +588,31 @@ def _scoreboard(run: _Run, args) -> int:
     )
 
     ext = g.extremal_vertices()
-    ok = set(ext) == {(0, 0, 0, 0), (1, 1, 1, 1)} and all(
-        g.degree(v) == 15 for v in ext
+    ok = set(ext) == {(0, 0, 0, 0), (1, 1, 1, 1)} and all(g.degree(v) == 15 for v in ext)
+    yield Check("extremal-vertices", ok, f"{[vertex_str(v) for v in ext]} degree 15")
+    yield Check(
+        "seven-chain",
+        g.verify_chain(BR8_CHAIN).is_chain,
+        "canonical 7-chain spans an induced path",
     )
-    row("extremal-vertices", ok, f"{[vertex_str(v) for v in ext]} degree 15")
-
-    rep = g.verify_chain(BR8_CHAIN)
-    row("seven-chain", rep.is_chain, "canonical 7-chain spans an induced path")
-
-    cyc = g.verify_induced_cycle(AFFINE_CYCLE)
-    row("affine-cycle", cyc, "8-cycle with closing vertex is induced")
-
-    non_ext = [v for v in g.vertices if not g.is_extremal(v)]
-    ok, _ = _partners_check(g)
-    row("commuting-partners", ok, "witness for all 14 non-extremal, none for extremal")
+    yield Check(
+        "affine-cycle",
+        g.verify_induced_cycle(AFFINE_CYCLE),
+        "8-cycle with closing vertex is induced",
+    )
+    yield _partners_check(g)
 
     lat = gram_matrix(4)
     q = quotient_lattice(lat)
     ok = lat.rank() == 10 and len(q.radical_basis) == 6
-    row("lattice-ranks", ok, f"rank {lat.rank()}, radical {len(q.radical_basis)}")
+    yield Check("lattice-ranks", ok, f"rank {lat.rank()}, radical {len(q.radical_basis)}")
 
-    span14 = sublattice_rank(q, [g.index[v] for v in non_ext])
-    rect = [0] * len(g.vertices)
-    for v, coeff in _RECTANGLE_RELATION.items():
-        rect[g.index[parse_vertex(v)]] = coeff
+    span14 = sublattice_rank(q, [g.index[v] for v in g.vertices if not g.is_extremal(v)])
     rect_ok = all(
-        sum(gij * x for gij, x in zip(gi, rect)) == 0 for gi in lat.gram
+        sum(gi[g.index[parse_vertex(v)]] * c for v, c in _RECTANGLE_RELATION.items()) == 0
+        for gi in lat.gram
     )
-    row(
+    yield Check(
         "nonextremal-span",
         span14 == 9 and rect_ok,
         f"span {span14}; rectangle relation a_0011 - a_0110 - a_1001 + a_1100 "
@@ -628,59 +625,59 @@ def _scoreboard(run: _Run, args) -> int:
         for i in range(16)
         for j in range(16)
     )
-    row("quotient-pairing", pair_ok, "all 120 pairs reproduce the Gram matrix")
+    yield Check("quotient-pairing", pair_ok, "all 120 pairs reproduce the Gram matrix")
 
     det = q.determinant()
-    row("unimodularity", abs(det) == 1, f"induced determinant {det}")
+    yield Check("unimodularity", abs(det) == 1, f"induced determinant {det}")
 
-    by_sign = [_relations_check(q, g, sign)[1]["checks"] for sign in (1, -1)]
-    for name, detail in (
-        ("transvection-shape", "rank-1, square-zero, primitive, fixed dim 9 (both signs)"),
-        ("pair-relations", "braid/commute matches edges, 120 pairs (both signs)"),
-        ("triangle-relations", "four-letter identity on every triangle (both signs)"),
-    ):
-        row(name, all(checks[name] for checks in by_sign), detail)
+    by_sign = [_relations_check(q, g, sign) for sign in (1, -1)]
+    yield Check(
+        "transvection-shape",
+        all(shape_ok for _, shape_ok in by_sign),
+        "rank-1, square-zero, primitive, fixed dim 9 (both signs)",
+    )
+    yield Check(
+        "pair-relations",
+        not any(rep.pair_failures for rep, _ in by_sign),
+        "braid/commute matches edges, 120 pairs (both signs)",
+    )
+    yield Check(
+        "triangle-relations",
+        not any(rep.triangle_failures for rep, _ in by_sign),
+        "four-letter identity on every triangle (both signs)",
+    )
 
     words = conjugacy_witnesses(q, g)
-    row("conjugacy-witnesses", len(words) == 16, "16 verified spanning-tree words")
-
-    ok, _ = _qform_check(q, g)
-    row("quadratic-refinement", ok, "q=1 on classes, identity + invariance exhaustively")
-
-    ok, _ = _closure_check(q, g, g.vertices)
-    row("irreducibility", ok, "closure from each generator direction = 10")
-
-    ok, par = _parity_check(q)
-    row("homology-parity", ok, f"sum nonzero={par['nonzero']}, parity={par['parity']}")
+    yield Check("conjugacy-witnesses", len(words) == 16, "16 verified spanning-tree words")
+    yield _qform_check(q, g)
+    yield _closure_check(q, g, g.vertices)
+    yield _parity_check(q)
 
     chain7 = bdata.load_pattern("chain7")
     res7 = min_genus(chain7, _PAPER_GENUS)
-    surf_ok = False
-    if res7.witness is not None:
-        s = surface_of(chain7, res7.witness)
-        surf_ok = s.components == ((-6, 2, 3),)
-    row(
+    surf_ok = res7.witness is not None and (
+        surface_of(chain7, res7.witness).components == ((-6, 2, 3),)
+    )
+    yield Check(
         "chain-neighborhood",
         res7.kind == "exact" and res7.genus == 3 and surf_ok,
         f"A7 chain minimal genus {res7.genus}, neighborhood (chi,b,g)=(-6,2,3)",
     )
 
-    p10 = bdata.load_pattern("curves10")
-    r10 = is_realizable(p10, _PAPER_GENUS)
-    row(
+    r10 = is_realizable(bdata.load_pattern("curves10"), _PAPER_GENUS)
+    yield Check(
         "ten-curve-realizable",
         r10.realizable and r10.witness is not None,
         f"10-curve pattern embeds at genus <= 5 (nodes {r10.nodes_explored})",
     )
 
-    if args.fallback_only:
+    if fallback_only:
         p11 = bdata.load_pattern("curves11")
-        fixed = bdata.load_structure("u-placement")
-        r11 = min_genus(p11, _PAPER_GENUS, SearchConfig(fixed=fixed))
-        ok11 = r11.kind == "exceeds" and r11.exhausted
-        row(
+        pin = SearchConfig(fixed=bdata.load_structure("u-placement"))
+        r11 = min_genus(p11, _PAPER_GENUS, pin)
+        yield Check(
             "eleven-curve-constrained",
-            ok11,
+            r11.kind == "exceeds" and r11.exhausted,
             f"with pinned placement: verdict {r11.kind}"
             + (f", genus {r11.genus}" if r11.genus is not None else "")
             + f" (nodes {r11.nodes_explored})",
@@ -694,23 +691,27 @@ def _scoreboard(run: _Run, args) -> int:
             if r12.realizable
             else f"exceeds genus {_PAPER_GENUS} (exhausted={r12.exhausted})"
         )
-        row(
+        yield Check(
             "twelve-curve-pattern",
             r12.realizable and traced <= _PAPER_GENUS,
             f"{verdict} (nodes {r12.nodes_explored}); pattern-only minimum "
             f"{_CURVES12_PATTERN_MIN_GENUS}, see README, {_DEVIATIONS_SECTION!r}",
         )
 
-    passed = sum(1 for _, ok, _ in rows if ok)
+
+def _scoreboard(run: _Run, args) -> int:
+    rows = []
+    for c in _paper_checks(args.fallback_only):
+        rows.append(c)
+        run.say(f"[{'PASS' if c.ok else 'FAIL'}] {c.name}: {c.detail}")
+    passed = sum(c.ok for c in rows)
     run.say(f"scoreboard: {passed}/{len(rows)} checks pass")
     run.payload = {
-        "rows": [
-            {"name": name, "pass": ok, "detail": detail} for name, ok, detail in rows
-        ],
+        "rows": [{"name": c.name, "pass": c.ok, "detail": c.detail} for c in rows],
         "passed": passed,
         "total": len(rows),
     }
-    run.verdicts.update({name: ok for name, ok, _ in rows})
+    run.verdicts.update({c.name: c.ok for c in rows})
     return EXIT_OK if passed == len(rows) else EXIT_CHECK_FAILED
 
 
@@ -731,14 +732,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--json", action="store_true", help="emit JSON with a run manifest")
     sub = ap.add_subparsers(dest="group", required=True)
+    with_k = argparse.ArgumentParser(add_help=False)
+    with_k.add_argument("--k", type=int, default=4)
 
     g = sub.add_parser("gamma", help="the comparability graph")
     gs = g.add_subparsers(dest="cmd", required=True)
-    p = gs.add_parser("stats")
-    p.add_argument("--k", type=int, default=4)
+    p = gs.add_parser("stats", parents=[with_k])
     p.set_defaults(func=cmd_gamma_stats, command_path="gamma stats")
-    p = gs.add_parser("export")
-    p.add_argument("--k", type=int, default=4)
+    p = gs.add_parser("export", parents=[with_k])
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_gamma_export, command_path="gamma export")
@@ -746,8 +747,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lt = sub.add_parser("lattice", help="the skew vanishing-cycle lattice")
     ls = lt.add_subparsers(dest="cmd", required=True)
     for what in ("gram", "radical", "quotient", "rank"):
-        p = ls.add_parser(what)
-        p.add_argument("--k", type=int, default=4)
+        p = ls.add_parser(what, parents=[with_k])
         if what == "rank":
             p.add_argument("--subset", help="comma-separated bit-strings")
             p.add_argument("--non-extremal", action="store_true")
@@ -755,37 +755,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("rep", help="the symplectic transvection representation")
     rs = rp.add_subparsers(dest="cmd", required=True)
-    p = rs.add_parser("check-relations")
-    p.add_argument("--k", type=int, default=4)
+    p = rs.add_parser("check-relations", parents=[with_k])
     p.add_argument("--sign", choices=("1", "-1", "both"), default="both")
     p.set_defaults(func=cmd_rep_check_relations, command_path="rep check-relations")
-    p = rs.add_parser("witnesses")
-    p.add_argument("--k", type=int, default=4)
+    p = rs.add_parser("witnesses", parents=[with_k])
     p.add_argument("--sign", choices=("1", "-1"), default="1")
     p.set_defaults(func=cmd_rep_witnesses, command_path="rep witnesses")
-    p = rs.add_parser("qform")
-    p.add_argument("--k", type=int, default=4)
+    p = rs.add_parser("qform", parents=[with_k])
     p.set_defaults(func=cmd_rep_qform, command_path="rep qform")
-    p = rs.add_parser("irreducible")
-    p.add_argument("--k", type=int, default=4)
+    p = rs.add_parser("irreducible", parents=[with_k])
     p.add_argument("--seed", help="bit-string seed vertex (default: all)")
     p.set_defaults(func=cmd_rep_irreducible, command_path="rep irreducible")
     p = rs.add_parser("parity")
     p.set_defaults(func=cmd_rep_parity, command_path="rep parity")
-    p = rs.add_parser("export")
-    p.add_argument("--k", type=int, default=4)
+    p = rs.add_parser("export", parents=[with_k])
     p.add_argument("--sign", choices=("1", "-1"), default="1")
     p.set_defaults(func=cmd_rep_export, command_path="rep export")
 
     ch = sub.add_parser("chains", help="induced chains and cycles")
     cs = ch.add_subparsers(dest="cmd", required=True)
-    p = cs.add_parser("verify")
-    p.add_argument("--k", type=int, default=4)
+    p = cs.add_parser("verify", parents=[with_k])
     p.add_argument("--seq", required=True, help="comma-separated bit-strings")
     p.add_argument("--cycle", action="store_true", help="check an induced cycle")
     p.set_defaults(func=cmd_chains_verify, command_path="chains verify")
-    p = cs.add_parser("enumerate")
-    p.add_argument("--k", type=int, default=4)
+    p = cs.add_parser("enumerate", parents=[with_k])
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--avoid-extremal", action="store_true")
     p.add_argument("--limit", type=int, default=20)

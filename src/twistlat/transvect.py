@@ -92,6 +92,13 @@ def word_matrix(
 
 def transvection(q: QuotientLattice, v: Vertex, sign: int = 1) -> la.IntMatrix:
     """Matrix of x -> x + sign*<x, a_v>*a_v in quotient coordinates."""
+    return _transvection(q, _vertex_index(q, v), sign)
+
+
+@functools.lru_cache(maxsize=128)
+def _transvection(q: QuotientLattice, i: int, sign: int) -> la.IntMatrix:
+    # computed, and checked against the form, once per lattice, vertex and sign
+    v = vertices(q.source.k)[i]
     t = word_matrix(q, (v,), sign)
     if not preserves_form(t, q.induced_gram):
         raise AssertionError(f"transvection of {vertex_str(v)} breaks the form")

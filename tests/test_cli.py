@@ -200,6 +200,40 @@ def test_rep_irreducible_single_seed(capsys):
     assert verify_paper_rows()["irreducibility"]
 
 
+#: The `verify-paper` rows that both modes share, in scoreboard order.
+PAPER_ROWS = [
+    "graph-shape", "extremal-vertices", "seven-chain", "affine-cycle",
+    "commuting-partners", "lattice-ranks", "nonextremal-span", "quotient-pairing",
+    "unimodularity", "transvection-shape", "pair-relations", "triangle-relations",
+    "conjugacy-witnesses", "quadratic-refinement", "irreducibility",
+    "homology-parity", "chain-neighborhood", "ten-curve-realizable",
+]
+
+
+@pytest.mark.parametrize(
+    "mode, last_row",
+    [((), "twelve-curve-pattern"), (("--fallback-only",), "eleven-curve-constrained")],
+    ids=["full", "fallback-only"],
+)
+def test_verify_paper_rows_and_single_check_verdicts(capsys, mode, last_row):
+    code, data = run_json(capsys, "verify-paper", *mode)
+    rows = {row["name"]: row["pass"] for row in data["rows"]}
+    assert [row["name"] for row in data["rows"]] == PAPER_ROWS + [last_row]
+    assert code == 0 and all(rows.values())
+    assert data["passed"] == data["total"] == 19
+    assert data["manifest"]["verdicts"] == rows
+    # each single-check subcommand reports the verdict of its row
+    for argv, verdict, row in (
+        (("rep", "qform"), "qform", "quadratic-refinement"),
+        (("rep", "irreducible"), "irreducible", "irreducibility"),
+        (("rep", "parity"), "parity", "homology-parity"),
+        (("chains", "witnesses"), "commuting-partners", "commuting-partners"),
+    ):
+        code, data = run_json(capsys, *argv)
+        assert data["manifest"]["verdicts"] == {verdict: rows[row]}
+        assert code == (0 if rows[row] else 1)
+
+
 def test_realize_validate_builtin(capsys):
     code, data = run_json(capsys, "realize", "validate", "--builtin", "curves12")
     assert code == 0
