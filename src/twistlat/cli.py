@@ -114,6 +114,13 @@ class _Run:
         return code
 
 
+def _given(args, name: str) -> bool:
+    """Whether an option was given.  An empty value counts as given; the
+    store-true ``--non-extremal`` counts only when set (its default is False)."""
+    value = getattr(args, name, None)
+    return value is not None and value is not False
+
+
 def _check_options(args) -> None:
     """Each pair of options names one input two ways; give at most one.
     ``--threads`` changes nothing, but is still checked."""
@@ -122,7 +129,7 @@ def _check_options(args) -> None:
         ("fixed", "fixed_builtin"),
         ("subset", "non_extremal"),
     ):
-        if getattr(args, a, None) and getattr(args, b, None):
+        if _given(args, a) and _given(args, b):
             raise InvalidInputError(
                 f"give --{a} or --{b.replace('_', '-')}, not both"
             )
@@ -131,11 +138,11 @@ def _check_options(args) -> None:
 
 
 def _load_pattern(run: _Run, args) -> CurvePattern:
-    if getattr(args, "builtin", None):
+    if _given(args, "builtin"):
         text = bdata.raw_file(bdata.PATTERN_FILES[args.builtin])
         run.input_hashes[f"builtin:{args.builtin}"] = _sha256(text)
         return bdata.load_pattern(args.builtin)
-    if getattr(args, "pattern", None):
+    if _given(args, "pattern"):
         with open(args.pattern, "r", encoding="utf-8") as fh:
             text = fh.read()
         run.input_hashes[args.pattern] = _sha256(text)
@@ -145,12 +152,12 @@ def _load_pattern(run: _Run, args) -> CurvePattern:
 
 def _search_config(run: _Run, args) -> SearchConfig:
     fixed = None
-    if getattr(args, "fixed", None):
+    if _given(args, "fixed"):
         with open(args.fixed, "r", encoding="utf-8") as fh:
             text = fh.read()
         run.input_hashes[args.fixed] = _sha256(text)
         fixed = structure_from_json(text)
-    elif getattr(args, "fixed_builtin", None):
+    elif _given(args, "fixed_builtin"):
         text = bdata.raw_file(bdata.STRUCTURE_FILES[args.fixed_builtin])
         run.input_hashes[f"builtin:{args.fixed_builtin}"] = _sha256(text)
         fixed = bdata.load_structure(args.fixed_builtin)
@@ -185,7 +192,7 @@ def cmd_gamma_export(run: _Run, args) -> int:
         text = g.to_dot()
     else:
         text = json.dumps(g.to_json_dict(), sort_keys=True, indent=1) + "\n"
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         run.say(f"wrote {args.output}")
@@ -375,10 +382,10 @@ def cmd_rep_qform(run: _Run, args) -> int:
 
 def cmd_rep_irreducible(run: _Run, args) -> int:
     g, q = _algebra(args.k)
-    seeds = [parse_vertex(args.seed)] if args.seed else g.vertices
+    seeds = g.vertices if args.seed is None else [parse_vertex(args.seed)]
     c = _closure_check(q, g, seeds)
     dims = set(c.data["closure_dims"].values())
-    seed = f"{args.seed}: " if args.seed else "all single-generator seeds: all "
+    seed = "all single-generator seeds: all " if args.seed is None else f"{args.seed}: "
     line = f"invariant span closure from {seed}{dims} (rank {q.rank})"
     return _report(run, "irreducible", c, line)
 
@@ -497,7 +504,7 @@ def cmd_realize_bound(run: _Run, args) -> int:
 
 
 def _write_witness(run: _Run, args, witness) -> None:
-    if args.witness_out and witness is not None:
+    if args.witness_out is not None and witness is not None:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             json.dump(structure_to_json_dict(witness), fh, sort_keys=True, indent=1)
         run.say(f"witness written to {args.witness_out}")

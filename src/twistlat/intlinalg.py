@@ -218,49 +218,3 @@ def rank_mod2(rows: Sequence[Sequence[int]]) -> int:
         r += 1
     return r
 
-
-class RowSpace:
-    """Incrementally maintained rational row space of integer vectors.
-
-    Rows are kept in integer echelon form and made primitive after each
-    reduction, which keeps entries small.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def rows(self) -> list[list[int]]:
-        return [row[:] for row in self._rows]
-
-    def reduce(self, v: Sequence[int]) -> list[int]:
-        w = [int(x) for x in v]
-        for row, p in zip(self._rows, self._pivots):
-            if w[p] != 0:
-                a, b = row[p], w[p]
-                w = [a * x - b * y for x, y in zip(w, row)]
-        return w
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Add a vector; True if the rank grew."""
-        w = self.reduce(v)
-        if is_zero_vector(w):
-            return False
-        g = vector_content(w)
-        w = [x // g for x in w]
-        p = next(j for j, x in enumerate(w) if x != 0)
-        self._rows.append(w)
-        self._pivots.append(p)
-        # keep echelon order by pivot
-        order = sorted(range(len(self._rows)), key=lambda i: self._pivots[i])
-        self._rows = [self._rows[i] for i in order]
-        self._pivots = [self._pivots[i] for i in order]
-        return True
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return is_zero_vector(self.reduce(v))

@@ -139,6 +139,8 @@ def make_pattern(curves: Sequence[Label], meeting_pairs) -> CurvePattern:
             raise InvalidInputError(f"unknown label in pair ({a!r},{b!r})")
         if a == b:
             raise InvalidInputError(f"self-intersection listed for {a!r}")
+        if m[idx[a]][idx[b]]:
+            raise InvalidInputError(f"pair ({a!r},{b!r}) listed twice")
         m[idx[a]][idx[b]] = 1
         m[idx[b]][idx[a]] = 1
     return CurvePattern(curves=curves, inter=la.freeze(m))

@@ -646,7 +646,7 @@ def _pinned_subpattern(p: CurvePattern, fixed: RibbonStructure) -> CurvePattern:
     labels = {lab for lab, _ in fixed.visit_orders}
     missing = labels - set(p.curves)
     if missing:
-        raise InvalidInputError(f"fixed structure names unknown curves {missing}")
+        raise InvalidInputError(f"fixed structure names unknown curves {sorted(missing)}")
     sub = subpattern(p, [lab for lab in p.curves if lab in labels])
     if set(sub.curves) != labels:
         raise InvalidInputError("fixed structure isolates some of its own curves")

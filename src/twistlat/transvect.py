@@ -303,11 +303,6 @@ def _form_mask(gram_mod2: Sequence[int], x: int) -> int:
     return gx
 
 
-def _pairing_mod2(gram_mod2: Sequence[int], x: int, y: int) -> int:
-    """<x, y> mod 2 for coordinate masks x, y and the form's row masks."""
-    return (y & _form_mask(gram_mod2, x)).bit_count() & 1
-
-
 @dataclass(frozen=True)
 class QuadraticRefinement:
     """q: (Z/2)^r -> Z/2 with q(x+y) = q(x) + q(y) + <x,y> and q = 1 on every
@@ -320,9 +315,6 @@ class QuadraticRefinement:
 
     def value(self, vec: Sequence[int]) -> int:
         return self.table[_mask(vec)]
-
-    def pairing_mod2(self, x: int, y: int) -> int:
-        return _pairing_mod2(self.gram_mod2, x, y)
 
 
 #: Largest quotient rank whose refinement is tabulated: the table has
@@ -378,61 +370,23 @@ def quadratic_refinement(q: QuotientLattice) -> QuadraticRefinement:
     return refinement
 
 
-def _bit_tables(rank: int) -> tuple[list[int], int]:
-    """Per-coordinate position masks: q_b has bit x set iff bit b of x is set."""
-    size = 1 << rank
-    full = (1 << size) - 1
-    tables = []
-    for b in range(rank):
-        m = 0
-        for x in range(size):
-            if (x >> b) & 1:
-                m |= 1 << x
-        tables.append(m)
-    return tables, full
-
-
 def refinement_identity_ok(ref: QuadraticRefinement) -> bool:
     """Exhaustively check q(x+y) = q(x) + q(y) + <x,y> over all pairs.
 
-    The table is packed into one big integer (bit x = q(x)); for each y the
-    shuffled table q(x^y) is produced by coordinate swaps, so the whole
-    check is ~rank big-integer operations per y.
+    It is enough to check y = e_i, each coordinate vector, against every x.
+    At x = 0 that forces q(0) = 0, so the identity holds for y = 0.  If it
+    holds for y and for e_i, then by bilinearity
+    q(x+y+e_i) = q(x+y) + q(e_i) + <x+y, e_i> = q(x) + q(y+e_i) + <x, y+e_i>,
+    using q(y+e_i) = q(y) + q(e_i) + <y, e_i>; so it holds for every y.
+    The form is symmetric mod 2, so <x, e_i> is the parity of x & row i.
     """
-    r = ref.rank
-    size = 1 << r
-    pos, full = _bit_tables(r)
-    tm = 0
-    for x in range(size):
-        if ref.table[x]:
-            tm |= 1 << x
-    # parity masks: bit x of pm[m] = parity(popcount(x & m))
-    pm_cache: dict[int, int] = {0: 0}
-
-    def parity_mask(m: int) -> int:
-        if m in pm_cache:
-            return pm_cache[m]
-        b = m & -m
-        res = parity_mask(m ^ b) ^ pos[b.bit_length() - 1]
-        pm_cache[m] = res
-        return res
-
-    for y in range(size):
-        shifted = tm
-        yy = y
-        b = 0
-        while yy:
-            if yy & 1:
-                step = 1 << b
-                lo = ~pos[b] & full
-                shifted = ((shifted & lo) << step) | ((shifted >> step) & lo)
-            yy >>= 1
-            b += 1
-        expect = shifted ^ tm ^ parity_mask(_form_mask(ref.gram_mod2, y))
-        if ref.table[y]:
-            expect ^= full
-        if expect != 0:
-            return False
+    table = ref.table
+    for i, row in enumerate(ref.gram_mod2):
+        e = 1 << i
+        qe = table[e]
+        for x, qx in enumerate(table):
+            if table[x ^ e] != qx ^ qe ^ ((x & row).bit_count() & 1):
+                return False
     return True
 
 
@@ -458,22 +412,20 @@ def invariant_span_closure(q: QuotientLattice, seeds: Iterable[Sequence[int]]) -
 
     A subspace W is invariant iff every vertex class a with <W, a> != 0 lies
     in W (the transvection moves x by a multiple of a), so the closure is
-    computed by saturating that rule.
+    computed by saturating that rule over a list of spanning rows.  Each
+    class is added at most once; one already in W leaves the span as it is.
     """
-    space = la.RowSpace(q.rank)
-    for s in seeds:
-        space.add(s)
-    changed = True
-    while changed:
-        changed = False
-        for a in q.class_map:
-            if space.contains(a):
-                continue
-            ga = la.mat_vec(q.induced_gram, a)
-            if any(la.vec_dot(row, ga) != 0 for row in space.rows()):
-                space.add(a)
-                changed = True
-    return space.rank
+    rows = [tuple(s) for s in seeds]
+    pending = {i: la.mat_vec(q.induced_gram, a) for i, a in enumerate(q.class_map)}
+    grew = True
+    while grew:
+        grew = False
+        for i, ga in list(pending.items()):
+            if any(la.vec_dot(row, ga) for row in rows):
+                rows.append(q.class_map[i])
+                del pending[i]
+                grew = True
+    return la.rank(rows)
 
 
 def chain_parity_check(q: QuotientLattice) -> tuple[bool, int]:

@@ -2,11 +2,15 @@ import contextlib
 import functools
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import twistlat
 from twistlat.bitgraph import build_gamma
 from twistlat.builtin import STRUCTURE_FILES, raw_file
 from twistlat.cli import _build_parser, main
@@ -289,6 +293,27 @@ def test_realize_check_with_fixed(capsys):
     assert data["realizable"] is False and data["exhausted"] is True
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_unknown_pin_curves_message_is_sorted(hash_seed):
+    """The unknown labels are printed sorted, so the message does not
+    depend on string hashing (these two seeds print sets differently)."""
+    src = os.path.dirname(os.path.dirname(twistlat.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = "realize check --builtin chain7 --genus 5 --fixed-builtin u-placement"
+    out = subprocess.run(
+        [sys.executable, "-m", "twistlat", *argv.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == "invalid input: fixed structure names unknown curves ['h', 'u', 'v']\n"
+
+
 def test_realize_node_cap_inconclusive(capsys):
     code, data = run_json(
         capsys,
@@ -469,6 +494,24 @@ def test_manifests_identical_modulo_timing(capsys):
             None,
             2,
         ),
+        # an empty value is a given value, not an absent one
+        (("realize", "check", "--builtin", "curves11", "--genus", "5", "--fixed", ""), None, 2),
+        (("realize", "bound", "--pattern", "", "--builtin", "chain7"), None, 2),
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "1")
+            + ("--fixed", "", "--fixed-builtin", "u-placement"),
+            None,
+            2,
+        ),
+        (("rep", "irreducible", "--seed", ""), None, 2),
+        (("gamma", "export", "--output", ""), None, 2),
+        (("realize", "check", "--builtin", "chain7", "--genus", "3", "--witness-out", ""), None, 2),
+        # a pattern that lists one pair twice, in either order
+        (
+            ("realize", "min-genus", "--pattern", "{file}"),
+            '{"curves": ["a", "b"], "intersections": [["a", "b"], ["b", "a"]]}',
+            2,
+        ),
         # a file that is not UTF-8
         (("realize", "bound", "--pattern", "{file}"), b'\xff\xfe{"curves"', 2),
         (
@@ -514,6 +557,13 @@ def test_manifests_identical_modulo_timing(capsys):
         "pattern-directory",
         "fixed-directory",
         "witness-out-directory",
+        "fixed-empty",
+        "pattern-empty-and-builtin",
+        "fixed-empty-and-fixed-builtin",
+        "rep-seed-empty",
+        "gamma-output-empty",
+        "witness-out-empty",
+        "pattern-duplicate-pair",
         "pattern-not-utf8",
         "fixed-not-utf8",
     ],

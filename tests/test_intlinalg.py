@@ -84,12 +84,3 @@ def test_rank_mod2():
     assert la.rank_mod2([[2, 4], [6, 8]]) == 0
     assert la.rank_mod2([[1, 0], [0, 1]]) == 2
 
-
-def test_rowspace_incremental():
-    rs = la.RowSpace(3)
-    assert rs.add((1, 2, 3))
-    assert not rs.add((2, 4, 6))
-    assert rs.add((0, 1, 1))
-    assert rs.rank == 2
-    assert rs.contains((1, 3, 4))
-    assert not rs.contains((0, 0, 1))

@@ -59,6 +59,10 @@ def test_validate_rejections():
         make_pattern(["x"], [("x", "x")])
     with pytest.raises(InvalidInputError):
         make_pattern(["x"], [("x", "q")])
+    # a pair met once is listed once, in either order
+    for pairs in ([("x", "y"), ("x", "y")], [("x", "y"), ("y", "x")]):
+        with pytest.raises(InvalidInputError, match="listed twice"):
+            make_pattern(["x", "y"], pairs)
 
 
 def test_pattern_from_vertices_matches_edges():

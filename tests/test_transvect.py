@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 import sympy
@@ -29,6 +30,7 @@ from twistlat.bitgraph import ArtinGraph
 from twistlat.lattice import QuotientLattice, SkewLattice
 from twistlat.transvect import (
     MAX_REFINEMENT_RANK,
+    QuadraticRefinement,
     preserves_form,
     refinement_identity_ok,
     refinement_invariant_under,
@@ -312,18 +314,83 @@ def test_quadratic_refinement(ctx):
         assert refinement_invariant_under(ref, q, v)
 
 
+def _bits(m: int, n: int) -> list[int]:
+    return [(m >> i) & 1 for i in range(n)]
+
+
 def test_quadratic_refinement_random_identity_samples(ctx):
-    """Slow-path oracle for the packed identity check."""
+    """Sampled pairs against <x, y> mod 2 computed from the integer form."""
     _, q = ctx
     ref = quadratic_refinement(q)
     rng = random.Random(11)
     for _ in range(300):
         x = rng.randrange(1024)
         y = rng.randrange(1024)
-        assert (
-            ref.table[x ^ y]
-            == ref.table[x] ^ ref.table[y] ^ ref.pairing_mod2(x, y)
-        )
+        gy = la.mat_vec(q.induced_gram, _bits(y, q.rank))
+        pairing = la.vec_dot(_bits(x, q.rank), gy) % 2
+        assert ref.table[x ^ y] == ref.table[x] ^ ref.table[y] ^ pairing
+
+
+def _identity_holds_all_pairs(ref: QuadraticRefinement) -> bool:
+    """q(x+y) = q(x) + q(y) + <x,y> for every pair, by brute force."""
+    size = 1 << ref.rank
+    # gy[y] is the coordinate mask of G y mod 2, so <x, y> = parity(x & gy[y])
+    gy = [
+        sum(1 << i for i, row in enumerate(ref.gram_mod2) if (row & y).bit_count() & 1)
+        for y in range(size)
+    ]
+    return all(
+        ref.table[x ^ y] == ref.table[x] ^ ref.table[y] ^ ((x & gy[y]).bit_count() & 1)
+        for x in range(size)
+        for y in range(size)
+    )
+
+
+def test_refinement_identity_rejects_every_single_flip():
+    ref = quadratic_refinement(quotient_lattice(gram_matrix(3)))
+    assert ref.rank == 8 and refinement_identity_ok(ref)
+    for m in range(1 << ref.rank):
+        table = list(ref.table)
+        table[m] ^= 1
+        assert not refinement_identity_ok(replace(ref, table=tuple(table))), m
+
+
+def _random_refinement(rng: random.Random, rank: int) -> QuadraticRefinement:
+    """A random alternating form mod 2, and a refinement of it that takes
+    arbitrary values on the coordinate vectors and is extended to every
+    vector through the identity."""
+    gram = [0] * rank
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if rng.randrange(2):
+                gram[i] |= 1 << j
+                gram[j] |= 1 << i
+    table = [0] * (1 << rank)
+    for m in range(1, 1 << rank):
+        i = (m & -m).bit_length() - 1
+        rest = m ^ (1 << i)
+        if rest:
+            table[m] = table[rest] ^ table[1 << i] ^ ((rest & gram[i]).bit_count() & 1)
+        else:
+            table[m] = rng.randrange(2)
+    return QuadraticRefinement(rank=rank, table=tuple(table), gram_mod2=tuple(gram))
+
+
+def test_refinement_identity_matches_all_pairs_oracle():
+    rng = random.Random(7)
+    for trial in range(60):
+        rank = rng.randrange(1, 9) if trial else 8
+        ref = _random_refinement(rng, rank)
+        assert refinement_identity_ok(ref) and _identity_holds_all_pairs(ref)
+        table = list(ref.table)
+        for m in rng.sample(range(len(table)), min(len(table), rng.randrange(1, 4))):
+            table[m] ^= 1
+        flipped = replace(ref, table=tuple(table))
+        assert refinement_identity_ok(flipped) == _identity_holds_all_pairs(flipped)
+        # two refinements of one form differ by a linear functional, which is
+        # 1 on 2^(rank-1) vectors: from rank 3 up, more than the 1-3 flipped
+        if rank >= 3:
+            assert not refinement_identity_ok(flipped)
 
 
 def test_refinement_rank_guard():
@@ -334,6 +401,15 @@ def test_refinement_rank_guard():
     assert q.rank == 32
     with pytest.raises(InvalidInputError, match="rank 32"):
         quadratic_refinement(q)
+
+
+#: Two orthogonal hyperbolic planes, spanned by e1, e2 and by e3, e4.
+_J4 = (
+    (0, 1, 0, 0),
+    (-1, 0, 0, 0),
+    (0, 0, 0, 1),
+    (0, 0, -1, 0),
+)
 
 
 def test_refinement_failure_paths():
@@ -349,12 +425,6 @@ def test_refinement_failure_paths():
     with pytest.raises(RefinementError):
         quadratic_refinement(fake)
     # a dependent class forced to value 0: e1+e3 with <e1,e3> = 0
-    j4 = (
-        (0, 1, 0, 0),
-        (-1, 0, 0, 0),
-        (0, 0, 0, 1),
-        (0, 0, -1, 0),
-    )
     classes = (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -368,7 +438,7 @@ def test_refinement_failure_paths():
     fake = QuotientLattice(
         source=SkewLattice(k=3, gram=tuple(tuple(0 for _ in range(8)) for _ in range(8))),
         rank=4,
-        induced_gram=j4,
+        induced_gram=_J4,
         class_map=classes,
         radical_basis=(),
     )
@@ -383,6 +453,22 @@ def test_invariant_span_closure(ctx):
     assert invariant_span_closure(q, q.class_map) == 10
     for v in g.vertices:
         assert invariant_span_closure(q, [q.class_map[g.index[v]]]) == 10
+
+
+def test_invariant_span_closure_on_a_reducible_form():
+    """On two orthogonal hyperbolic planes with the coordinate vectors as
+    classes, a seed in one plane closes to that plane, and a seed meeting
+    both closes to the whole space."""
+    q = QuotientLattice(
+        source=SkewLattice(k=2, gram=tuple(tuple(0 for _ in range(4)) for _ in range(4))),
+        rank=4,
+        induced_gram=_J4,
+        class_map=la.identity(4),
+        radical_basis=(),
+    )
+    assert invariant_span_closure(q, [(1, 0, 0, 0)]) == 2
+    assert invariant_span_closure(q, [(1, 0, 1, 0)]) == 4
+    assert invariant_span_closure(q, [(0, 0, 0, 0)]) == 0
 
 
 def test_chain_parity(ctx):
