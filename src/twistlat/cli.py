@@ -503,10 +503,11 @@ def cmd_realize_bound(run: _Run, args) -> int:
     return EXIT_OK
 
 
-def _write_witness(run: _Run, args, witness) -> None:
-    if args.witness_out is not None and witness is not None:
+def _write_witness(run: _Run, args) -> None:
+    """Write the payload's witness, or ``null`` when the answer has none."""
+    if args.witness_out is not None:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
-            json.dump(structure_to_json_dict(witness), fh, sort_keys=True, indent=1)
+            json.dump(run.payload["witness"], fh, sort_keys=True, indent=1)
         run.say(f"witness written to {args.witness_out}")
 
 
@@ -521,13 +522,13 @@ def cmd_realize_min_genus(run: _Run, args) -> int:
             f"exact minimal genus {res.genus} "
             f"(nodes {res.nodes_explored}, {res.wall_time_s:.1f}s)"
         )
-        _write_witness(run, args, res.witness)
     else:
         run.say(
             f"exceeds budget {res.budget} (exhausted={res.exhausted}, "
             f"nodes {res.nodes_explored}, {res.wall_time_s:.1f}s)"
             + (f"; {res.note}" if res.note else "")
         )
+    _write_witness(run, args)
     return EXIT_OK
 
 
@@ -552,7 +553,7 @@ def cmd_realize_check(run: _Run, args) -> int:
     if res.realizable and res.witness is not None:
         s = surface_of(p, res.witness)
         run.say(f"witness neighborhood: components {s.components}")
-        _write_witness(run, args, res.witness)
+    _write_witness(run, args)
     return EXIT_OK
 
 

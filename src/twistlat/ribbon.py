@@ -62,7 +62,9 @@ class RibbonStructure:
 
 @dataclass(frozen=True)
 class RibbonSurface:
-    """Traced neighborhood, one (chi, boundary_count, genus) per component."""
+    """Traced neighborhood, one (chi, boundary_count, genus) per component,
+    in ``CurvePattern.components()`` order (the component of the pattern's
+    first curve first)."""
 
     components: tuple[tuple[int, int, int], ...]
 
@@ -82,10 +84,8 @@ class RibbonSurface:
 def make_structure(
     p: CurvePattern,
     visit_orders: Mapping[Label, Sequence[Label]],
-    crossing_bits: Mapping[tuple[Label, Label], int] | Sequence[tuple[Label, Label, int]],
+    crossing_bits: Mapping[tuple[Label, Label], int],
 ) -> RibbonStructure:
-    if not isinstance(crossing_bits, Mapping):
-        crossing_bits = {(a, b): bit for a, b, bit in crossing_bits}
     orders = tuple(
         (lab, tuple(visit_orders.get(lab, ()))) for lab in p.curves
     )
@@ -125,110 +125,65 @@ def validate_structure(p: CurvePattern, r: RibbonStructure) -> list[str]:
 
 def surface_of(p: CurvePattern, r: RibbonStructure) -> RibbonSurface:
     """Trace the ribbon graph's boundary walks and return per-component
-    (chi, boundary count, genus)."""
+    (chi, boundary count, genus), in ``p.components()`` order.
+
+    ``require_valid`` rejects isolated curves, so every curve has a
+    crossing and the ribbon graph's components are the pattern's."""
     require_valid(p)
     problems = validate_structure(p, r)
     if problems:
         raise InvalidInputError("; ".join(problems))
 
-    crossings = p.crossings()
-    xid = {pair: t for t, pair in enumerate(crossings)}
-    order_map = dict(r.visit_orders)
-    bit_map = r.bits()
+    components = p.components()
+    comp_of = {ci: c for c, members in enumerate(components) for ci in members}
+    nv = [0] * len(components)
+    ne, nf = nv[:], nv[:]
 
-    # arcs: (curve index, step t) joins visit t -> t+1 (cyclically)
-    arc_from: list[int] = []
-    arc_to: list[int] = []
-    arc_of_curve: dict[int, list[int]] = {}
-    # per crossing and curve: [in_dart, out_dart]
-    slot: dict[tuple[int, int], list[int]] = {}
+    # arc a is a step t -> t+1 along its curve's visit order: dart 2a leaves
+    # visit t, dart 2a + 1 enters visit t+1.  slot[(partner, curve)] holds
+    # the curve's (in, out) darts at its crossing with the partner.
+    arc_curve: list[int] = []
+    slot: dict[tuple[int, int], tuple[int, int]] = {}
+    order_map = dict(r.visit_orders)
     for ci, lab in enumerate(p.curves):
         order = order_map[lab]
-        ids = []
-        for partner in order:
-            pj = p.index(partner)
-            ids.append(xid[(min(ci, pj), max(ci, pj))])
-        arcs = []
-        m = len(ids)
-        for t in range(m):
-            a = len(arc_from)
-            arc_from.append(ids[t])
-            arc_to.append(ids[(t + 1) % m])
-            arcs.append(a)
-        arc_of_curve[ci] = arcs
-        for t in range(m):
-            x = ids[t]
-            out_dart = 2 * arcs[t]
-            in_dart = 2 * arcs[(t - 1) % m] + 1
-            slot[(x, ci)] = [in_dart, out_dart]
+        first, m = len(arc_curve), len(order)
+        arc_curve += [ci] * m
+        ne[comp_of[ci]] += m
+        for t, partner in enumerate(order):
+            in_dart = 2 * (first + (t - 1) % m) + 1
+            slot[(p.index(partner), ci)] = (in_dart, 2 * (first + t))
 
-    n_darts = 2 * len(arc_from)
-    sigma = [0] * n_darts  # next dart counterclockwise at the same crossing
-    for t, (i, j) in enumerate(crossings):
-        xi_in, xi_out = slot[(t, i)]
-        xj_in, xj_out = slot[(t, j)]
-        key = tuple(sorted((p.curves[i], p.curves[j])))
-        if bit_map[key] == 0:
+    sigma = [0] * (2 * len(arc_curve))  # next dart counterclockwise at its crossing
+    bit_map = r.bits()
+    for i, j in p.crossings():
+        nv[comp_of[i]] += 1
+        xi_in, xi_out = slot[(j, i)]
+        xj_in, xj_out = slot[(i, j)]
+        if bit_map[tuple(sorted((p.curves[i], p.curves[j])))] == 0:
             cyc = [xi_in, xj_in, xi_out, xj_out]
         else:
             cyc = [xi_in, xj_out, xi_out, xj_in]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             sigma[a] = b
 
-    # faces: cycles of sigma(alpha(d)) with alpha = arc-end swap
-    seen = [False] * n_darts
-    face_rep: list[int] = []
-    face_of_dart = [0] * n_darts
-    for d0 in range(n_darts):
+    # faces: cycles of d -> sigma(d ^ 1), d ^ 1 being the other end of d's arc
+    seen = [False] * len(sigma)
+    for d0 in range(len(sigma)):
         if seen[d0]:
             continue
-        fid = len(face_rep)
-        face_rep.append(d0)
+        nf[comp_of[arc_curve[d0 // 2]]] += 1
         d = d0
-        while True:
+        while not seen[d]:
             seen[d] = True
-            face_of_dart[d] = fid
             d = sigma[d ^ 1]
-            if d == d0:
-                break
-
-    # connected components of the crossing graph
-    parent = list(range(len(crossings)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(len(arc_from)):
-        ra, rb = find(arc_from[a]), find(arc_to[a])
-        if ra != rb:
-            parent[ra] = rb
-
-    comp_ids = sorted({find(t) for t in range(len(crossings))})
-    comp_pos = {c: i for i, c in enumerate(comp_ids)}
-    nv = [0] * len(comp_ids)
-    ne = [0] * len(comp_ids)
-    nf = [0] * len(comp_ids)
-    for t in range(len(crossings)):
-        nv[comp_pos[find(t)]] += 1
-    for a in range(len(arc_from)):
-        ne[comp_pos[find(arc_from[a])]] += 1
-    for fid, rep in enumerate(face_rep):
-        nf[comp_pos[find(arc_from[rep // 2])]] += 1
 
     comps = []
-    for c in range(len(comp_ids)):
-        chi = nv[c] - ne[c]
-        b = nf[c]
-        g2 = 2 - chi - b
-        if g2 % 2:
-            raise AssertionError("non-integer genus; rotation data corrupt")
-        g = g2 // 2
-        if g < 0:
-            raise AssertionError("negative genus; rotation data corrupt")
-        comps.append((chi, b, g))
+    for v, e, b in zip(nv, ne, nf):
+        g2 = 2 - (v - e) - b
+        if g2 % 2 or g2 < 0:
+            raise AssertionError("odd or negative genus; rotation data corrupt")
+        comps.append((v - e, b, g2 // 2))
     return RibbonSurface(components=tuple(comps))
 
 

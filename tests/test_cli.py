@@ -277,6 +277,18 @@ def test_realize_min_genus_and_witness(tmp_path, capsys):
     assert set(saved) == {"visit_orders", "crossing_bits"}
 
 
+def test_witness_out_holds_null_when_the_answer_has_none(tmp_path, capsys):
+    """A later answer without a witness replaces an earlier witness file."""
+    out = tmp_path / "wit.json"
+    code, _ = run_json(capsys, "realize", "min-genus", "--builtin", "chain7", "--witness-out", str(out))
+    assert code == 0 and json.loads(out.read_text()) is not None
+    code, data = run_json(
+        capsys, "realize", "check", "--builtin", "curves12", "--genus", "1", "--witness-out", str(out)
+    )
+    assert code == 0 and data["realizable"] is False
+    assert json.loads(out.read_text()) is None
+
+
 def test_realize_check_with_fixed(capsys):
     code, data = run_json(
         capsys,
@@ -494,6 +506,9 @@ def test_manifests_identical_modulo_timing(capsys):
             None,
             2,
         ),
+        # also when the answer has no witness to write
+        (("realize", "check", "--builtin", "curves12", "--genus", "1", "--witness-out", "{dir}"), None, 2),
+        (("realize", "min-genus", "--builtin", "chain7", "--budget", "0", "--witness-out", "{dir}"), None, 2),
         # an empty value is a given value, not an absent one
         (("realize", "check", "--builtin", "curves11", "--genus", "5", "--fixed", ""), None, 2),
         (("realize", "bound", "--pattern", "", "--builtin", "chain7"), None, 2),
@@ -557,6 +572,8 @@ def test_manifests_identical_modulo_timing(capsys):
         "pattern-directory",
         "fixed-directory",
         "witness-out-directory",
+        "witness-out-directory-not-realizable",
+        "witness-out-directory-over-budget",
         "fixed-empty",
         "pattern-empty-and-builtin",
         "fixed-empty-and-fixed-builtin",

@@ -149,6 +149,47 @@ def test_restriction_monotonicity_random():
             assert surface_of(sub, rsub).total_genus <= g_full
 
 
+def random_structure(p, rng):
+    """Random cyclic orders and random bits."""
+    orders = {}
+    for i, lab in enumerate(p.curves):
+        partners = [p.curves[j] for j in p.neighbors(i)]
+        orders[lab] = rng.sample(partners, len(partners))
+    bits = {(p.curves[i], p.curves[j]): rng.randrange(2) for i, j in p.crossings()}
+    return make_structure(p, orders, bits)
+
+
+def test_components_come_in_pattern_order():
+    """Each component of a disconnected pattern traces as its restriction
+    does, in `p.components()` order; a-c-d comes before b-e."""
+    rng = random.Random(27)
+    patterns = [make_pattern(list("abcde"), [("a", "c"), ("c", "d"), ("b", "e")])]
+    while len(patterns) < 40:
+        labs = [chr(ord("a") + i) for i in range(rng.randrange(4, 8))]
+        pairs = [pair for pair in itertools.combinations(labs, 2) if rng.random() < 0.3]
+        p = make_pattern(labs, pairs)
+        if all(p.neighbors(i) for i in range(len(labs))) and len(p.components()) > 1:
+            patterns.append(p)
+    for p in patterns:
+        r = random_structure(p, rng)
+        parts = tuple(
+            surface_of(*restrict(p, r, [p.curves[i] for i in comp])).components[0]
+            for comp in p.components()
+        )
+        assert surface_of(p, r).components == parts
+    first = patterns[0]
+    assert surface_of(first, random_structure(first, rng)).components == ((-2, 2, 1), (-1, 1, 1))
+
+
+def test_isolated_curve_is_rejected():
+    """`surface_of` takes its components from the pattern, which holds only
+    when every curve has a crossing."""
+    p = make_pattern(["x", "y", "z"], [("x", "y")])
+    r = make_structure(p, {"x": ["y"], "y": ["x"]}, {("x", "y"): 0})
+    with pytest.raises(InvalidInputError, match="isolated curve 'z'"):
+        surface_of(p, r)
+
+
 def test_naive_min_genus_pair():
     p = pair_pattern()
     g, witness = naive_min_genus(p)
