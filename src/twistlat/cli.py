@@ -856,11 +856,11 @@ def main(argv=None) -> int:
         _check_options(args)
         code = args.func(run, args)
     except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
-        run.say(f"invalid input: {exc}")
+        run.lines = [f"invalid input: {exc}"]
         run.payload = {"error": str(exc)}
         return run.emit(EXIT_INVALID)
     except InconclusiveError as exc:
-        run.say(f"inconclusive: {exc} (nodes explored: {exc.nodes_explored})")
+        run.lines = [f"inconclusive: {exc} (nodes explored: {exc.nodes_explored})"]
         run.payload = {"error": str(exc), "nodes_explored": exc.nodes_explored}
         return run.emit(EXIT_INCONCLUSIVE)
     return run.emit(code)

@@ -417,8 +417,6 @@ class _Engine:
             )
 
     def _dfs_curve(self, k: int) -> None:
-        if self._stopped():
-            return
         if k == len(self.plan):
             self._leaf()
             return
@@ -427,23 +425,24 @@ class _Engine:
             self._dfs_curve(k + 1)
             return
         c, partners, filter_ok = step
-        self._dfs_place(c, k, partners[0], partners[1:], [], None, filter_ok, 0)
+        self._dfs_place(c, k, partners, [], None, filter_ok, 0)
 
     def _bit_choices(self, c: int, q: int) -> tuple[int, ...]:
         if (min(c, q), max(c, q)) == self.anchor:
             return (0,)
         return (0, 1)
 
-    def _dfs_place(self, c, k, forced_next, remaining, strand, q2, filter_ok, seen):
-        """Place the strand's next crossing.  ``seen`` is the bitmask of the
-        components (`comp` names) its crossings lie in: a placement links
-        within one component exactly when its partner's bit is set.  The
-        face at the strand's open end is walked once, at the first such
-        partner, and every child's genus change is read off that walk."""
-        if self._stopped():
-            return
+    def _dfs_place(self, c, k, remaining, strand, q2, filter_ok, seen):
+        """Place the strand's next crossing, to one of the ``remaining``
+        partners; its first crossing goes to its lowest partner, which
+        anchors the cyclic order, and ``q2`` is the partner of its second.
+        ``seen`` is the bitmask of the components (`comp` names) its
+        crossings lie in: a placement links within one component exactly
+        when its partner's bit is set.  The face at the strand's open end
+        is walked once, at the first such partner, and every child's genus
+        change is read off that walk."""
         genus = self.genus
-        if forced_next is None and not remaining:
+        if not remaining:
             # closure of the strand: link its last out-dart to its first
             # in-dart, one forced option
             d1, d2 = strand[-1], strand[0] ^ 1
@@ -459,15 +458,15 @@ class _Engine:
         comp = self.comp[k]
         face = None  # the face at the strand's open end, walked on demand
         cutoff = self._cutoff()
-        for q in [forced_next] if forced_next is not None else remaining:
-            if filter_ok and len(remaining) == 1 and q2 is not None and q < q2:
+        for q in remaining if strand else remaining[:1]:
+            if filter_ok and len(remaining) == 1 and q < q2:
                 continue  # this cyclic order is the reversal of one already done
             same = seen >> comp[q] & 1
             if same and face is None:
                 face = self._face(strand[-1])
             bits = self._bit_choices(c, q)
-            rest = [r for r in remaining if r != q] if forced_next is None else remaining
-            nxt_q2 = q if forced_next is None and q2 is None else q2
+            rest = [r for r in remaining if r != q]
+            nxt_q2 = q if len(strand) == 1 else q2
             nxt_seen = seen | 1 << comp[q]
             for gap in range(max(1, len(self.arcs[q]))):
                 for bitv in bits:
@@ -480,7 +479,7 @@ class _Engine:
                     self._place_crossing(c, q, gap, bitv, strand, step)
                     self.nodes += 1
                     self._check_cap()
-                    self._dfs_place(c, k, None, rest, strand, nxt_q2, filter_ok, nxt_seen)
+                    self._dfs_place(c, k, rest, strand, nxt_q2, filter_ok, nxt_seen)
                     self._unplace_crossing(c, q, gap, strand)
                     self.genus = genus
                     if self._stopped():

@@ -4,8 +4,8 @@ Each vertex class a (from the quotient lattice) acts on the quotient by
 x -> x + s*<x, a>*a with s = +1 or -1; the resulting matrices preserve the
 induced form exactly.  Every product of these transvections is evaluated
 over a word of vertices letter by letter, one rank-one update per letter
-(`word_matrix`); the relation checks share the products of common prefixes
-within each pair and each triangle.  The checks in this module mechanize,
+(`word_matrix`); the relation checks read every word from one table of
+two-letter products T_u T_v per call.  The checks in this module mechanize,
 at the matrix level, the group-theoretic facts used downstream:
 braid/commutation for every vertex pair, the four-letter relation on
 triangles, explicit conjugating words along a spanning tree, invariance of
@@ -186,65 +186,50 @@ def verify_all_relations(
     of every triangle (holding exactly in the orientation class where the
     signed pairings multiply to -1 around the triangle).
 
-    A word's matrix is its prefix's matrix times its last letter, memoized
-    per word.  The memo holds the products of one pair or one triangle and
-    is reset between them, so it stays a few dozen matrices.
+    Every word checked is a two-letter product T_u T_v, read from one table
+    built per call, times at most two more letters.
     """
     verts = vertices(q.source.k)
     if verts != g.vertices:
         raise InvalidInputError("graph and lattice have different vertex sets")
     ts = {v: transvection(q, v, sign) for v in verts}
     letters = dict(zip(verts, _letters(q, sign)))
-    seeds: dict[tuple[Vertex, ...], la.IntMatrix] = {(v,): t for v, t in ts.items()}
-    seeds[()] = la.identity(q.rank)
+    two = {(u, v): _times_letter(ts[u], letters[v]) for u in verts for v in verts if u != v}
 
-    def product(word: tuple[Vertex, ...]) -> la.IntMatrix:
-        m = memo.get(word)
-        if m is None:
-            m = memo[word] = _times_letter(product(word[:-1]), letters[word[-1]])
-        return m
-
-    def same(lhs: tuple[Vertex, ...], rhs: tuple[Vertex, ...]) -> bool:
-        return product(lhs) == product(rhs)
+    def braids(u: Vertex, v: Vertex) -> bool:
+        return _times_letter(two[u, v], letters[u]) == _times_letter(two[v, u], letters[v])
 
     report = RelationReport(sign=sign)
-    n = len(verts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            memo = dict(seeds)  # a fresh memo for each pair and each triangle
-            u, v = verts[i], verts[j]
-            edge = g.is_edge(u, v)
-            lhs, rhs = ((u, v, u), (v, u, v)) if edge else ((u, v), (v, u))
-            if not same(lhs, rhs):
-                report.pair_failures.append((u, v, "braid" if edge else "commute"))
+    for u, v in itertools.combinations(verts, 2):
+        if g.is_edge(u, v):
+            if not braids(u, v):
+                report.pair_failures.append((u, v, "braid"))
+        else:
+            if two[u, v] != two[v, u]:
+                report.pair_failures.append((u, v, "commute"))
             # distinct commuting transvections must not also braid (equal
             # matrices satisfy both; that happens only in degenerate small
             # quotients where two vertex classes coincide, never for k = 4)
-            if not edge and ts[u] != ts[v] and same((u, v, u), (v, u, v)):
+            if ts[u] != ts[v] and braids(u, v):
                 report.pair_failures.append((u, v, "braid-on-non-edge"))
-            report.pairs_checked += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not g.is_edge(verts[i], verts[j]):
-                continue
-            for k in range(j + 1, n):
-                u, v, w = verts[i], verts[j], verts[k]
-                if not (g.is_edge(v, w) and g.is_edge(u, w)):
-                    continue
-                memo = dict(seeds)
-                expectations = [
-                    triangle_identity_expected(q, x, y, z, sign)
-                    for x, y, z in itertools.permutations((u, v, w))
-                ]
-                if sum(expectations) != 3:
-                    # exactly one orientation class must carry the relation
-                    report.triangle_failures.append((u, v, w))
-                for (x, y, z), expected in zip(
-                    itertools.permutations((u, v, w)), expectations
-                ):
-                    if same((x, y, z, x), (y, z, x, y)) != expected:
-                        report.triangle_failures.append((x, y, z))
-                report.triangles_checked += 1
+        report.pairs_checked += 1
+    for u, v, w in itertools.combinations(verts, 3):
+        if not (g.is_edge(u, v) and g.is_edge(v, w) and g.is_edge(u, w)):
+            continue
+        orders = list(itertools.permutations((u, v, w)))
+        expectations = [triangle_identity_expected(q, *xyz, sign) for xyz in orders]
+        if sum(expectations) != 3:
+            # exactly one orientation class must carry the relation
+            report.triangle_failures.append((u, v, w))
+        # T_x T_y T_z T_x for each ordering (x, y, z)
+        four = {
+            (x, y, z): _times_letter(_times_letter(two[x, y], letters[z]), letters[x])
+            for x, y, z in orders
+        }
+        for (x, y, z), expected in zip(orders, expectations):
+            if (four[x, y, z] == four[y, z, x]) != expected:
+                report.triangle_failures.append((x, y, z))
+        report.triangles_checked += 1
     return report
 
 

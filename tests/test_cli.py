@@ -289,6 +289,21 @@ def test_witness_out_holds_null_when_the_answer_has_none(tmp_path, capsys):
     assert json.loads(out.read_text()) is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "check", "--builtin", "curves12", "--genus", "1"),
+        ("realize", "min-genus", "--builtin", "chain7"),
+    ],
+    ids=["check-not-realizable", "min-genus"],
+)
+def test_unwritable_witness_prints_only_the_error(tmp_path, capsys, argv):
+    """The answer said before the witness write failed is not printed."""
+    code, out = run_cli(capsys, *argv, "--witness-out", str(tmp_path))
+    assert code == 2
+    assert len(out.splitlines()) == 1 and out.startswith("invalid input:")
+
+
 def test_realize_check_with_fixed(capsys):
     code, data = run_json(
         capsys,

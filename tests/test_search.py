@@ -169,9 +169,9 @@ def genus_checked(monkeypatch):
     checks, unbuilt = [], []
     strands = []  # the open strand of each `_dfs_place` call on the stack
 
-    def tracked_dfs_place(self, c, k, forced_next, remaining, strand, *rest):
+    def tracked_dfs_place(self, c, k, remaining, strand, *rest):
         strands.append(strand)
-        dfs_place(self, c, k, forced_next, remaining, strand, *rest)
+        dfs_place(self, c, k, remaining, strand, *rest)
         strands.pop()
 
     def checked_genus_step(self, c, q, gap, bitv, same, face):
@@ -325,9 +325,9 @@ def test_each_placement_is_undone_exactly(monkeypatch):
         lists = (eng.cross, eng.link, eng.row, strand)
         return [list(xs) for xs in lists] + [arcs, eng.genus]
 
-    def restoring_dfs_place(self, c, k, forced_next, remaining, strand, *rest):
+    def restoring_dfs_place(self, c, k, remaining, strand, *rest):
         before = state(self, strand)
-        dfs_place(self, c, k, forced_next, remaining, strand, *rest)
+        dfs_place(self, c, k, remaining, strand, *rest)
         assert state(self, strand) == before
         calls.append(c)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from twistlat import (
     word_matrix,
 )
 from twistlat import intlinalg as la
+from twistlat import transvect
 from twistlat.bitgraph import ArtinGraph
 from twistlat.lattice import QuotientLattice, SkewLattice
 from twistlat.transvect import (
@@ -155,12 +157,21 @@ def test_relation_checker_flags_a_dropped_edge(ctx, sign):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("dropped", [None, ((0, 0, 0), (0, 1, 1))])
-def test_relation_report_matches_dense_oracle(sign, dropped):
-    """Every pair verdict and every triangle ordering at k = 3, recomputed
-    with dense factors I + s a u^T multiplied by `mat_mul`."""
-    q = quotient_lattice(gram_matrix(3))
-    g = DroppedEdgeGraph(3, *dropped) if dropped else build_gamma(3)
+@pytest.mark.parametrize(
+    "k, dropped",
+    [
+        pytest.param(3, None, id="None"),
+        pytest.param(3, ((0, 0, 0), (0, 1, 1)), id="dropped1"),
+        pytest.param(2, None, id="k2"),
+    ],
+)
+def test_relation_report_matches_dense_oracle(sign, k, dropped):
+    """Every pair verdict and every triangle ordering at k = 3 and k = 2,
+    recomputed with dense factors I + s a u^T multiplied by `mat_mul`.  At
+    k = 2 the two middle vertex classes coincide, so the braid-on-non-edge
+    guard skips that pair."""
+    q = quotient_lattice(gram_matrix(k))
+    g = DroppedEdgeGraph(k, *dropped) if dropped else build_gamma(k)
     ts = {v: dense_product(q, g, (v,), sign) for v in g.vertices}
 
     def same(lhs, rhs):
@@ -188,7 +199,7 @@ def test_relation_report_matches_dense_oracle(sign, dropped):
 
     rep = verify_all_relations(q, g, sign=sign)
     assert rep.pair_failures == pair_failures
-    assert rep.pairs_checked == 28
+    assert rep.pairs_checked == math.comb(2**k, 2)
     assert rep.triangles_checked == triangles
     assert rep.triangle_failures == triangle_failures
     if dropped:
@@ -197,8 +208,9 @@ def test_relation_report_matches_dense_oracle(sign, dropped):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_relation_memo_stays_small(ctx, sign):
-    """The prefix products are kept for one pair or one triangle at a time;
-    keeping every word's product would peak near 2 MB."""
+    """One call keeps its table of two-letter products and the longer words
+    of one pair or one triangle at a time; keeping every word's product
+    would peak near 2 MB."""
     g, q = ctx
     verify_all_relations(q, g, sign=sign)  # build the cached letter tables first
     tracemalloc.start()
@@ -208,6 +220,24 @@ def test_relation_memo_stays_small(ctx, sign):
     finally:
         tracemalloc.stop()
     assert peak < 0.25e6
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_relation_checks_make_1800_rank_one_updates(ctx, monkeypatch, sign):
+    """At k = 4: one for each of the 240 two-letter products, two for each
+    of the 120 pairs' braid words, and 12 for each of the 110 triangles'
+    four-letter words."""
+    g, q = ctx
+    verify_all_relations(q, g, sign=sign)  # build the cached transvections first
+    times_letter, calls = transvect._times_letter, []
+
+    def counted_times_letter(m, letter):
+        calls.append(letter)
+        return times_letter(m, letter)
+
+    monkeypatch.setattr(transvect, "_times_letter", counted_times_letter)
+    verify_all_relations(q, g, sign=sign)
+    assert len(calls) == 1_800
 
 
 def test_word_matrix_rejects_non_vertices(ctx):
