@@ -23,7 +23,7 @@ from twistlat.ribbon import (  # noqa: E402
     structure_to_json_dict,
     surface_of,
 )
-from twistlat.search import SearchConfig, min_genus  # noqa: E402
+from twistlat.search import min_genus  # noqa: E402
 
 
 def main() -> int:
@@ -53,8 +53,8 @@ def main() -> int:
 
     blockers = 0
     for i, (b, r) in enumerate(candidates):
-        plus = min_genus(p11, args.budget, SearchConfig(fixed=r))
-        minus = min_genus(p11m, args.budget, SearchConfig(fixed=r))
+        plus = min_genus(p11, args.budget, r)
+        minus = min_genus(p11m, args.budget, r)
         tag = f"[{i}] boundary {b}: w+ {plus.kind}, w- {minus.kind}"
         if plus.kind == "exceeds" or minus.kind == "exceeds":
             blockers += 1

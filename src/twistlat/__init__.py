@@ -25,7 +25,6 @@ from .lattice import (
     gram_matrix,
     hl_pairing,
     quotient_lattice,
-    radical,
     sublattice_rank,
     symplectic_basis,
 )
@@ -50,7 +49,6 @@ from .ribbon import (
     surface_of,
 )
 from .search import (
-    SearchConfig,
     SearchResult,
     is_realizable,
     min_genus,
@@ -82,7 +80,6 @@ __all__ = [
     "RelationReport",
     "RibbonStructure",
     "RibbonSurface",
-    "SearchConfig",
     "SearchResult",
     "SkewLattice",
     "build_gamma",
@@ -103,7 +100,6 @@ __all__ = [
     "pattern_from_vertices",
     "quadratic_refinement",
     "quotient_lattice",
-    "radical",
     "reflect",
     "restrict",
     "structure_from_json",

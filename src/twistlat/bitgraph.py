@@ -79,7 +79,6 @@ def no_opposite_pair(u: Vertex, v: Vertex) -> bool:
 class ChainReport:
     """Outcome of checking that a vertex sequence spans an induced path."""
 
-    sequence: tuple[Vertex, ...]
     is_chain: bool
     violations: tuple[tuple[tuple[int, int], str], ...]
 
@@ -158,7 +157,6 @@ class ArtinGraph:
                 elif b > a + 1 and adjacent:
                     violations.append(((a, b), "chord"))
         return ChainReport(
-            sequence=tuple(tuple(v) for v in seq),
             is_chain=not violations,
             violations=tuple(violations),
         )

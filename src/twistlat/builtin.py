@@ -51,10 +51,6 @@ _LABEL_SETS = {
 }
 
 
-def _read(name: str) -> str:
-    return resources.files("twistlat.data").joinpath(name).read_text()
-
-
 def builtin_pattern_names() -> tuple[str, ...]:
     return tuple(sorted(PATTERN_FILES))
 
@@ -64,7 +60,7 @@ def load_pattern(name: str) -> CurvePattern:
         raise InvalidInputError(
             f"unknown builtin pattern {name!r}; available: {builtin_pattern_names()}"
         )
-    return pattern_from_json(_read(PATTERN_FILES[name]))
+    return pattern_from_json(raw_file(PATTERN_FILES[name]))
 
 
 def load_structure(name: str) -> RibbonStructure:
@@ -72,12 +68,12 @@ def load_structure(name: str) -> RibbonStructure:
         raise InvalidInputError(
             f"unknown builtin structure {name!r}; available: {tuple(sorted(STRUCTURE_FILES))}"
         )
-    return structure_from_json(_read(STRUCTURE_FILES[name]))
+    return structure_from_json(raw_file(STRUCTURE_FILES[name]))
 
 
 def raw_file(name: str) -> str:
-    """Raw text of a bundled data file (for hashing into run manifests)."""
-    return _read(name)
+    """Raw text of a bundled data file."""
+    return resources.files("twistlat.data").joinpath(name).read_text()
 
 
 def derive_pattern(name: str) -> CurvePattern:

@@ -49,7 +49,7 @@ from .ribbon import (
     structure_to_json_dict,
     surface_of,
 )
-from .search import SearchConfig, is_realizable, min_genus
+from .search import is_realizable, min_genus
 from .transvect import (
     RelationReport,
     chain_parity_check,
@@ -137,33 +137,34 @@ def _check_options(args) -> None:
         raise InvalidInputError("threads must be at least 1")
 
 
+def _read_input(run: _Run, args, path: str, name: str, files: dict, parse):
+    """The input given as the file ``--<path>`` or as the bundled file
+    ``--<name>`` names, or None when neither is given.  Its text is read
+    once, hashed into the manifest and parsed by ``parse``."""
+    if _given(args, name):
+        key = f"builtin:{getattr(args, name)}"
+        text = bdata.raw_file(files[getattr(args, name)])
+    elif _given(args, path):
+        key = getattr(args, path)
+        with open(key, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        return None
+    run.input_hashes[key] = _sha256(text)
+    return parse(text)
+
+
 def _load_pattern(run: _Run, args) -> CurvePattern:
-    if _given(args, "builtin"):
-        text = bdata.raw_file(bdata.PATTERN_FILES[args.builtin])
-        run.input_hashes[f"builtin:{args.builtin}"] = _sha256(text)
-        return bdata.load_pattern(args.builtin)
-    if _given(args, "pattern"):
-        with open(args.pattern, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        run.input_hashes[args.pattern] = _sha256(text)
-        return pattern_from_json(text)
-    raise InvalidInputError("provide --pattern FILE or --builtin NAME")
+    p = _read_input(run, args, "pattern", "builtin", bdata.PATTERN_FILES, pattern_from_json)
+    if p is None:
+        raise InvalidInputError("provide --pattern FILE or --builtin NAME")
+    return p
 
 
-def _search_config(run: _Run, args) -> SearchConfig:
-    fixed = None
-    if _given(args, "fixed"):
-        with open(args.fixed, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        run.input_hashes[args.fixed] = _sha256(text)
-        fixed = structure_from_json(text)
-    elif _given(args, "fixed_builtin"):
-        text = bdata.raw_file(bdata.STRUCTURE_FILES[args.fixed_builtin])
-        run.input_hashes[f"builtin:{args.fixed_builtin}"] = _sha256(text)
-        fixed = bdata.load_structure(args.fixed_builtin)
-    return SearchConfig(
-        node_cap=getattr(args, "node_cap", None),
-        fixed=fixed,
+def _load_pin(run: _Run, args):
+    """The pinned structure of ``--fixed`` or ``--fixed-builtin``, if any."""
+    return _read_input(
+        run, args, "fixed", "fixed_builtin", bdata.STRUCTURE_FILES, structure_from_json
     )
 
 
@@ -513,8 +514,7 @@ def _write_witness(run: _Run, args) -> None:
 
 def cmd_realize_min_genus(run: _Run, args) -> int:
     p = _load_pattern(run, args)
-    cfg = _search_config(run, args)
-    res = min_genus(p, args.budget, cfg)
+    res = min_genus(p, args.budget, _load_pin(run, args), args.node_cap)
     run.payload = res.to_json_dict()
     run.verdicts["min-genus"] = res.kind
     if res.kind == "exact":
@@ -534,8 +534,7 @@ def cmd_realize_min_genus(run: _Run, args) -> int:
 
 def cmd_realize_check(run: _Run, args) -> int:
     p = _load_pattern(run, args)
-    cfg = _search_config(run, args)
-    res = is_realizable(p, args.genus, cfg)
+    res = is_realizable(p, args.genus, _load_pin(run, args), args.node_cap)
     run.payload = {
         "realizable": res.realizable,
         "genus": args.genus,
@@ -681,8 +680,7 @@ def _paper_checks(fallback_only: bool):
 
     if fallback_only:
         p11 = bdata.load_pattern("curves11")
-        pin = SearchConfig(fixed=bdata.load_structure("u-placement"))
-        r11 = min_genus(p11, _PAPER_GENUS, pin)
+        r11 = min_genus(p11, _PAPER_GENUS, bdata.load_structure("u-placement"))
         yield Check(
             "eleven-curve-constrained",
             r11.kind == "exceeds" and r11.exhausted,

@@ -80,9 +80,6 @@ class QuotientLattice:
     def determinant(self) -> int:
         return la.det(self.induced_gram)
 
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
-
 
 def gram_matrix(k: int) -> SkewLattice:
     """Full Gram matrix of the pairing on {0,1}^k in lexicographic order."""
@@ -91,11 +88,6 @@ def gram_matrix(k: int) -> SkewLattice:
         tuple(hl_pairing(u, v) for v in verts) for u in verts
     )
     return SkewLattice(k=k, gram=gram)
-
-
-def radical(lattice: SkewLattice) -> la.IntMatrix:
-    """HNF basis of the saturated kernel of the Gram matrix."""
-    return la.kernel_basis(lattice.gram)
 
 
 def quotient_lattice(lattice: SkewLattice) -> QuotientLattice:

@@ -15,8 +15,9 @@ curves inserted before, and the open strand joins the components of the
 partners it has met.  Each search node walks one face, the one at its
 strand's open end, once some partner lies in a component the strand has
 met; every child's genus change is read off that walk before the child is
-built, and its placement adds the change.  Only a strand's closure and the
-pin loader walk a face at the link itself.  Since a sub-ribbon-graph's
+built, and its placement adds the change.  Only a strand's closure walks a
+face at the link itself: a pin is traced once by `ribbon.surface_of`, and
+the search starts at the pin's genus.  Since a sub-ribbon-graph's
 neighborhood embeds in any completion's neighborhood, the partial genus is
 a valid lower bound and branches exceeding the budget (or the best leaf so
 far) are pruned: a child whose genus change would take it past that cutoff
@@ -64,7 +65,6 @@ from .ribbon import (
     make_structure,
     structure_to_json_dict,
     surface_of,
-    validate_structure,
 )
 
 def _next_linked_table() -> tuple[tuple[int, ...], ...]:
@@ -86,14 +86,6 @@ def _next_linked_table() -> tuple[tuple[int, ...], ...]:
 
 
 _NEXT_LINKED = _next_linked_table()
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the branch-and-bound search."""
-
-    node_cap: Optional[int] = None
-    fixed: Optional[RibbonStructure] = None  # pinned partial structure
 
 
 @dataclass(frozen=True)
@@ -153,6 +145,7 @@ class _Engine:
         stop_genus: int,
         fixed: Optional[RibbonStructure] = None,
         node_cap: Optional[int] = None,
+        pin_genus: int = 0,
     ):
         self.p = pattern
         self.budget = budget
@@ -193,7 +186,8 @@ class _Engine:
         self.link: list[int] = []  # dart -> dart | -1
         # per crossing: 16 * bit + mask of linked darts, a _NEXT_LINKED row
         self.row: list[int] = []
-        self.genus = 0  # total genus of the partial ribbon graph
+        # total genus of the partial ribbon graph: the pin's traced genus
+        self.genus = pin_genus
         self.arcs: dict[int, list[tuple[int, int]]] = {
             i: [] for i in range(len(pattern.curves))
         }
@@ -240,21 +234,23 @@ class _Engine:
             d = (e & ~3) | nxt[row[e >> 2]][e & 3]
         return face
 
-    def _link_step(self, d1: int, d2: int, same: int) -> int:
-        """The genus change of linking open dart ``d1`` to ``d2``, by one
-        face walk at the link: +1 when it is within one component (``same``)
-        from a crossing with links, and its corners lie on different faces.
-        Only a strand's closure and the pin loader need it."""
-        if same and self.row[d1 >> 2] & 15 and self._corner(d2) not in self._face(d1):
-            return 1
-        return 0
+    def _link_step(self, d1: int, d2: int) -> int:
+        """The genus change of closing a strand, linking its open out-dart
+        ``d1`` to its first in-dart ``d2``, by one face walk at the link.
+        A strand lies in one component and its crossings have links, so
+        the closure raises the genus exactly when its corners lie on
+        different faces.  Only a strand's closure walks a face at the link
+        itself."""
+        return int(self._corner(d2) not in self._face(d1))
 
     def _join(self, c: int, d1: int, d2: int, step: int) -> None:
         """Link the open out-dart ``d1`` of curve ``c`` to its next in-dart
         ``d2``, append the arc to ``c``'s arcs, and add ``step``, the link's
         genus change, to the genus.  A placement's step is read off its
-        search node's face walk (`_genus_step`), and any other link's off a
-        walk at the link itself (`_link_step`); `_join` walks no face."""
+        search node's face walk (`_genus_step`), a closure's off a walk at
+        the link itself (`_link_step`), and a pinned link adds none, the
+        pin's genus being traced before the search; `_join` walks no
+        face."""
         self.genus += step
         self._attach(d1, d2)
         self.arcs[c].append((d1, d2))
@@ -367,34 +363,28 @@ class _Engine:
         return make_structure(p, orders, bits)
 
     def _load_fixed(self, curves: list[int], fixed: RibbonStructure) -> None:
-        """Install a complete structure on the pinned ``curves``, which
-        `_search` has validated: one crossing per crossing of the pattern
-        between two pinned curves, and then each curve's links in its
-        visit order.  The curves are the first entries of the insertion
-        plan and are walked in its order, so that each link reads its
-        components off the plan: a link to the next crossing is within one
-        component when that crossing's partner's component was already met
-        on this curve, or when it closes the curve."""
+        """Lay out a complete structure on the pinned ``curves``, which
+        `_search` has validated and traced by `surface_of`: one crossing
+        per crossing of the pattern between two pinned curves, and then
+        each curve's links in its visit order.  The engine starts at the
+        pin's traced genus, so no link walks a face."""
         p = self.p
-        order_map = dict(fixed.visit_orders)
+        # a curve's arcs are laid out from the first entry of its cyclic
+        # order, so lay out the canonical rotation
+        order_map = dict(fixed.canonical().visit_orders)
         bit_map = fixed.bits()
         xid: dict[tuple[int, int], int] = {}
         for i, j in p.crossings():
             if i in curves and j in curves:
                 bitv = bit_map[tuple(sorted((p.curves[i], p.curves[j])))]
                 xid[(i, j)] = self._new_crossing(i, j, bitv)
-        for ci, comp in zip(curves, self.comp):
-            partners = [p.index(lab) for lab in order_map[p.curves[ci]]]
+        for ci in curves:
             ins = [
                 self._dart(xid[(min(ci, pj), max(ci, pj))], int(ci > pj), 0)
-                for pj in partners
+                for pj in map(p.index, order_map[p.curves[ci]])
             ]
-            seen = 0
-            for t, pj in enumerate(partners):
-                seen |= 1 << comp[pj]
-                same = t == len(ins) - 1 or seen >> comp[partners[t + 1]] & 1
-                d1, d2 = ins[t] ^ 1, ins[(t + 1) % len(ins)]
-                self._join(ci, d1, d2, self._link_step(d1, d2, same))
+            for t, d in enumerate(ins):
+                self._join(ci, d ^ 1, ins[(t + 1) % len(ins)], 0)
 
     # -- search -----------------------------------------------------------------
 
@@ -446,7 +436,7 @@ class _Engine:
             # closure of the strand: link its last out-dart to its first
             # in-dart, one forced option
             d1, d2 = strand[-1], strand[0] ^ 1
-            self._join(c, d1, d2, self._link_step(d1, d2, True))
+            self._join(c, d1, d2, self._link_step(d1, d2))
             self.nodes += 1
             self._check_cap()
             if self.genus <= self._cutoff():
@@ -517,27 +507,33 @@ def _default_budget(p: CurvePattern) -> int:
 def min_genus(
     p: CurvePattern,
     budget: Optional[int] = None,
-    config: SearchConfig = SearchConfig(),
+    fixed: Optional[RibbonStructure] = None,
+    node_cap: Optional[int] = None,
 ) -> SearchResult:
-    """Exact minimum of total neighborhood genus over all ribbon structures,
-    or a certified Exceeds(budget) verdict after exhausting the pruned tree."""
-    return _search(p, budget, config, realize=False)
+    """Exact minimum of total neighborhood genus over all ribbon structures
+    that extend the pinned partial structure ``fixed``, or a certified
+    Exceeds(budget) verdict after exhausting the pruned tree.  A search
+    past ``node_cap`` nodes raises `InconclusiveError`."""
+    return _search(p, budget, fixed, node_cap, realize=False)
 
 
 def is_realizable(
     p: CurvePattern,
     genus: int,
-    config: SearchConfig = SearchConfig(),
+    fixed: Optional[RibbonStructure] = None,
+    node_cap: Optional[int] = None,
 ) -> SearchResult:
-    """Whether some ribbon structure has total genus <= genus: the
-    minimum-genus search stopped at the first structure within the budget."""
-    return _search(p, genus, config, realize=True)
+    """Whether some ribbon structure extending ``fixed`` has total genus
+    <= genus: the minimum-genus search stopped at the first structure
+    within the budget."""
+    return _search(p, genus, fixed, node_cap, realize=True)
 
 
 def _search(
     p: CurvePattern,
     budget: Optional[int],
-    config: SearchConfig,
+    fixed: Optional[RibbonStructure],
+    node_cap: Optional[int],
     realize: bool,
 ) -> SearchResult:
     """The one search driver.  With ``realize`` a connected or pinned
@@ -552,7 +548,7 @@ def _search(
         raise InvalidInputError(
             f"{'genus' if realize else 'budget'} must be nonnegative"
         )
-    if config.node_cap is not None and config.node_cap < 0:
+    if node_cap is not None and node_cap < 0:
         raise InvalidInputError("node cap must be nonnegative")
 
     total_nodes = 0
@@ -569,25 +565,16 @@ def _search(
             note=note,
         )
 
-    fixed = config.fixed
-    if fixed is not None:
-        pin = _pinned_subpattern(p, fixed)
-        # the engine lays out a pinned curve's arcs from the first entry of
-        # its cyclic order, so pin the canonical rotation
-        fixed = fixed.canonical()
+    pin_genus = 0 if fixed is None else _pin_genus(p, fixed)
 
     lb = f2_genus_lower_bound(p)
     if budget < lb:
         return exceeds(f"budget below homology lower bound {lb}")
+    # a completion's genus is at least its pin's, as in the pruning
+    if pin_genus > budget:
+        return exceeds(f"pinned structure alone has genus {pin_genus}")
 
-    if fixed is not None:
-        # a completion's genus is at least its pin's, as in the pruning
-        pin_genus = surface_of(pin, fixed).total_genus
-        if pin_genus > budget:
-            return exceeds(f"pinned structure alone has genus {pin_genus}")
-        comps = [tuple(range(len(p.curves)))]
-    else:
-        comps = list(p.components())
+    comps = list(p.components()) if fixed is None else [tuple(range(len(p.curves)))]
     # a disconnected pattern is realized with each component at its minimum
     realize = realize and len(comps) == 1
 
@@ -611,7 +598,7 @@ def _search(
         # the homology bound certifies a minimum without exhausting the
         # tree, and the budget stops at the first structure within it
         stop = sub_budget if realize else lbs[ci]
-        eng = _Engine(sub, sub_budget, stop, fixed, config.node_cap)
+        eng = _Engine(sub, sub_budget, stop, fixed, node_cap, pin_genus)
         eng.run()
         total_nodes += eng.nodes
         exhausted = not eng._stopped()
@@ -622,9 +609,6 @@ def _search(
             return exceeds("exhausted without any structure within budget")
         total_genus_val += eng.best_genus
         witnesses.append(eng.best_witness)
-
-    if total_genus_val > budget:
-        return exceeds("component minima sum beyond budget")
 
     witness = _merge_witnesses(p, witnesses) if witnesses else None
     return SearchResult(
@@ -639,9 +623,10 @@ def _search(
     )
 
 
-def _pinned_subpattern(p: CurvePattern, fixed: RibbonStructure) -> CurvePattern:
-    """The sub-pattern a pinned structure covers, after checking that the
-    structure is a complete, valid structure on it."""
+def _pin_genus(p: CurvePattern, fixed: RibbonStructure) -> int:
+    """The genus of a pinned structure, traced by `surface_of` on the
+    sub-pattern it covers, which also checks that the structure is a
+    complete, valid structure on it."""
     labels = {lab for lab, _ in fixed.visit_orders}
     missing = labels - set(p.curves)
     if missing:
@@ -649,12 +634,12 @@ def _pinned_subpattern(p: CurvePattern, fixed: RibbonStructure) -> CurvePattern:
     sub = subpattern(p, [lab for lab in p.curves if lab in labels])
     if set(sub.curves) != labels:
         raise InvalidInputError("fixed structure isolates some of its own curves")
-    problems = validate_structure(sub, fixed)
-    if problems:
+    try:
+        return surface_of(sub, fixed).total_genus
+    except InvalidInputError as exc:
         raise InvalidInputError(
-            "fixed structure invalid on its sub-pattern: " + "; ".join(problems)
-        )
-    return sub
+            f"fixed structure invalid on its sub-pattern: {exc}"
+        ) from None
 
 
 def _merge_witnesses(

@@ -43,7 +43,6 @@ from twistlat.builtin import load_pattern, load_structure
 from twistlat.cli import main as cli_main
 from twistlat.patterns import relabel
 from twistlat.ribbon import validate_structure
-from twistlat.search import SearchConfig
 from twistlat.transvect import (
     refinement_identity_ok,
     refinement_invariant_under,
@@ -412,7 +411,7 @@ def test_c6_twelve_curve_exceeds_budget_five():
         f"realizable={res.realizable}, witness traces to genus {traced} "
         f"(homology bound {bound}, nodes {res.nodes_explored})",
     )
-    pinned = min_genus(p12, 5, SearchConfig(fixed=load_structure("u-placement")))
+    pinned = min_genus(p12, 5, load_structure("u-placement"))
     ok &= line(
         "c6 twelve-curve pinned",
         pinned.kind == "exceeds" and pinned.exhausted and pinned.nodes_explored > 0,
@@ -427,7 +426,7 @@ def test_c6_fallback_eleven_curve_constrained():
     t0 = time.time()
     p11 = load_pattern("curves11")
     fixed = load_structure("u-placement")
-    res = min_genus(p11, 5, SearchConfig(fixed=fixed))
+    res = min_genus(p11, 5, fixed)
     ok = line(
         "c6 fallback eleven-curve",
         res.kind == "exceeds" and res.exhausted and res.nodes_explored > 0,

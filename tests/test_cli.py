@@ -24,6 +24,15 @@ def _duplicated_crossing_pin():
     return json.dumps(data)
 
 
+#: A pin on a, b, c of curves11 whose curve a visits c, which it does not meet.
+_WRONG_PARTNER_PIN = json.dumps(
+    {
+        "visit_orders": {"a": ["c"], "b": ["a", "c"], "c": ["b"]},
+        "crossing_bits": [["a", "b", 0], ["b", "c", 0]],
+    }
+)
+
+
 def _repeated_key_pin():
     """u-placement with curve c given a second, reversed visit order; the
     repeated key comes first, so keeping the last value reads u-placement."""
@@ -341,6 +350,27 @@ def test_unknown_pin_curves_message_is_sorted(hash_seed):
     assert out.stdout == "invalid input: fixed structure names unknown curves ['h', 'u', 'v']\n"
 
 
+def test_pinned_check_reads_each_bundled_file_once(capsys, monkeypatch):
+    """A pinned check reads the bundled pattern and pin once each, and
+    hashes and parses the text it read."""
+    from twistlat import builtin
+
+    files, opened = builtin.resources.files, []
+
+    def counted_files(package):
+        opened.append(package)
+        return files(package)
+
+    monkeypatch.setattr(builtin.resources, "files", counted_files)
+    code, data = run_json(
+        capsys, "realize", "check", "--builtin", "curves11", "--genus", "5",
+        "--fixed-builtin", "u-placement",
+    )
+    assert (code, data["realizable"], data["nodes_explored"]) == (0, False, 18_542)
+    assert len(opened) == 2
+    assert sorted(data["manifest"]["input_hashes"]) == ["builtin:curves11", "builtin:u-placement"]
+
+
 def test_realize_node_cap_inconclusive(capsys):
     code, data = run_json(
         capsys,
@@ -449,6 +479,19 @@ def test_manifests_identical_modulo_timing(capsys):
             ("realize", "check", "--builtin", "curves11", "--genus", "1")
             + ("--fixed", "{file}"),
             _duplicated_crossing_pin(),
+            2,
+        ),
+        # a visit order naming a wrong partner, above and below the bound
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "5")
+            + ("--fixed", "{file}"),
+            _WRONG_PARTNER_PIN,
+            2,
+        ),
+        (
+            ("realize", "check", "--builtin", "curves11", "--genus", "0")
+            + ("--fixed", "{file}"),
+            _WRONG_PARTNER_PIN,
             2,
         ),
         # a key repeated in one JSON object, in a pin and in a pattern
@@ -572,6 +615,8 @@ def test_manifests_identical_modulo_timing(capsys):
         "subset-and-non-extremal",
         "fixed-duplicate-crossing",
         "fixed-duplicate-crossing-below-bound",
+        "fixed-wrong-partner",
+        "fixed-wrong-partner-below-bound",
         "fixed-repeated-key",
         "pattern-repeated-key",
         "pattern-curves-string",

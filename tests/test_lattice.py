@@ -10,7 +10,6 @@ from twistlat import (
     gram_matrix,
     hl_pairing,
     quotient_lattice,
-    radical,
     sublattice_rank,
     symplectic_basis,
 )
@@ -73,7 +72,8 @@ def test_gram_rank_and_radical():
     lat = gram_matrix(4)
     assert lat.rank() == 10
     assert sympy.Matrix([list(r) for r in lat.gram]).rank() == 10
-    rad = radical(lat)
+    rad = quotient_lattice(lat).radical_basis
+    assert rad == la.kernel_basis(lat.gram)
     assert len(rad) == 6
     for v in rad:
         assert la.is_zero_vector(la.mat_vec(lat.gram, v))
@@ -82,7 +82,8 @@ def test_gram_rank_and_radical():
 
 
 def test_radical_of_nondegenerate_is_empty():
-    assert radical(gram_matrix(1)) == ()
+    lat = gram_matrix(1)
+    assert quotient_lattice(lat).radical_basis == la.kernel_basis(lat.gram) == ()
 
 
 def test_quotient_basics():
@@ -105,7 +106,6 @@ def test_quotient_unimodular():
     det_oracle = sympy.Matrix([list(r) for r in q.induced_gram]).det()
     assert det_mine == det_oracle
     assert abs(det_mine) == 1
-    assert q.is_unimodular()
 
 
 def test_sublattice_rank_all_and_single():

@@ -21,7 +21,6 @@ from twistlat import (
 )
 from twistlat.builtin import load_pattern, load_structure
 from twistlat.patterns import relabel
-from twistlat.search import SearchConfig
 
 
 def chain_pattern(n):
@@ -232,21 +231,62 @@ def test_engine_genus_matches_full_trace_on_random_patterns(genus_checked):
     ids=["curves11-check-5", "curves12-min-genus-5"],
 )
 def test_engine_genus_matches_full_trace_when_pinned(genus_checked, name, search_fn):
-    cfg = SearchConfig(fixed=load_structure("u-placement"))
-    r = search_fn(load_pattern(name), 5, cfg)
+    r = search_fn(load_pattern(name), 5, load_structure("u-placement"))
     assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
     assert len(genus_checked) == r.nodes_explored
     # the children traced one above a parent at the cutoff, never built
     assert sum(not built for built, _ in genus_checked) == 14_038
 
 
-def test_pin_loads_at_its_own_genus():
+def test_pin_loads_at_its_own_genus(monkeypatch):
+    """The engine starts at the pin's traced genus, which its layout
+    traces to, and laying the pin out walks no face."""
     from twistlat import search
 
+    face = search._Engine._face
+    walks = []
+
+    def counted_face(self, d):
+        walks.append(d)
+        return face(self, d)
+
+    monkeypatch.setattr(search._Engine, "_face", counted_face)
     p, fixed = load_pattern("curves11"), load_structure("u-placement").canonical()
-    eng = search._Engine(p, budget=5, stop_genus=5, fixed=fixed)
     pin = subpattern(p, [lab for lab, _ in fixed.visit_orders])
-    assert eng.genus == traced_partial_genus(eng) == surface_of(pin, fixed).total_genus == 5
+    pin_genus = surface_of(pin, fixed).total_genus
+    eng = search._Engine(p, budget=5, stop_genus=5, fixed=fixed, pin_genus=pin_genus)
+    assert eng.genus == traced_partial_genus(eng) == pin_genus == 5
+    assert walks == []
+
+
+def test_pinned_search_traces_its_pin_once(monkeypatch):
+    """A pinned search validates its pin once, inside the one `surface_of`
+    call that traces it, before its first node."""
+    from twistlat import ribbon, search
+
+    calls = []
+    validate, trace = ribbon.validate_structure, search.surface_of
+
+    def counted_validate(p, r):
+        calls.append("validate_structure")
+        return validate(p, r)
+
+    def counted_trace(p, r):
+        calls.append("surface_of")
+        return trace(p, r)
+
+    def first_node(self, k):
+        calls.append("node")
+        raise InconclusiveError("stop", nodes_explored=0)
+
+    monkeypatch.setattr(ribbon, "validate_structure", counted_validate)
+    # also where the search module itself might look it up
+    monkeypatch.setattr(search, "validate_structure", counted_validate, raising=False)
+    monkeypatch.setattr(search, "surface_of", counted_trace)
+    monkeypatch.setattr(search._Engine, "_dfs_curve", first_node)
+    with pytest.raises(InconclusiveError):
+        min_genus(load_pattern("curves11"), 5, load_structure("u-placement"))
+    assert calls == ["surface_of", "validate_structure", "node"]
 
 
 def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypatch):
@@ -287,8 +327,7 @@ def test_engine_genus_when_a_strand_joins_two_components(genus_checked, monkeypa
 def test_at_most_one_face_walk_per_node(monkeypatch, name, search_fn, genus, pin, nodes):
     """Every placement takes its genus change from its node's one face
     walk, so a search walks no more faces than it has `_dfs_place` calls
-    (one walk per node, or one at a strand's closure) plus the pin
-    loader's links, one per crossing of each pinned curve."""
+    (one walk per node, or one at a strand's closure); a pin walks none."""
     from twistlat import search
 
     face, dfs_place = search._Engine._face, search._Engine._dfs_place
@@ -305,10 +344,9 @@ def test_at_most_one_face_walk_per_node(monkeypatch, name, search_fn, genus, pin
     monkeypatch.setattr(search._Engine, "_face", counted_face)
     monkeypatch.setattr(search._Engine, "_dfs_place", counted_dfs_place)
     fixed = load_structure(pin) if pin is not None else None
-    r = search_fn(load_pattern(name), genus, SearchConfig(fixed=fixed))
+    r = search_fn(load_pattern(name), genus, fixed)
     assert r.nodes_explored == nodes
-    links = sum(len(order) for _, order in fixed.visit_orders) if fixed else 0
-    assert 0 < counts["face"] <= counts["dfs_place"] + links
+    assert 0 < counts["face"] <= counts["dfs_place"]
 
 
 def test_each_placement_is_undone_exactly(monkeypatch):
@@ -338,8 +376,7 @@ def test_each_placement_is_undone_exactly(monkeypatch):
         eng = search._Engine(p, min_genus(p).genus + 1, stop_genus=-1)
         eng.run()
     unpinned = len(calls)
-    cfg = SearchConfig(fixed=load_structure("u-placement"))
-    r = is_realizable(load_pattern("curves11"), 5, cfg)
+    r = is_realizable(load_pattern("curves11"), 5, load_structure("u-placement"))
     assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
     assert unpinned > 1_000 and len(calls) - unpinned == 3_913
 
@@ -363,10 +400,10 @@ def test_pin_loads_in_plan_order():
     ).canonical()
     pinned = [lab for lab, _ in fixed.visit_orders]
     assert sorted(pinned) != sorted(pinned, key=q.index)
-    eng = search._Engine(q, budget=5, stop_genus=5, fixed=fixed)
     pin_genus = surface_of(subpattern(q, pinned), fixed).total_genus
+    eng = search._Engine(q, budget=5, stop_genus=5, fixed=fixed, pin_genus=pin_genus)
     assert eng.genus == traced_partial_genus(eng) == pin_genus == 5
-    r = is_realizable(q, 5, SearchConfig(fixed=fixed))
+    r = is_realizable(q, 5, fixed)
     assert (r.kind, r.nodes_explored) == ("exceeds", 18_542)
 
 
@@ -436,7 +473,7 @@ def test_realizable_and_witness():
 def test_node_cap_raises_inconclusive():
     p = load_pattern("curves10")
     with pytest.raises(InconclusiveError) as err:
-        min_genus(p, budget=5, config=SearchConfig(node_cap=5))
+        min_genus(p, budget=5, node_cap=5)
     assert err.value.nodes_explored > 0
 
 
@@ -463,10 +500,8 @@ def test_node_cap_raises_inconclusive():
 )
 def test_node_counts(name, search_fn, genus, pin, expected):
     # a cap equal to the count changes nothing
-    cfg = SearchConfig(
-        node_cap=expected[2], fixed=load_structure(pin) if pin is not None else None
-    )
-    r = search_fn(load_pattern(name), genus, cfg)
+    fixed = load_structure(pin) if pin is not None else None
+    r = search_fn(load_pattern(name), genus, fixed, node_cap=expected[2])
     assert (r.kind, r.genus, r.nodes_explored) == expected
 
 
@@ -482,7 +517,7 @@ def test_node_cap_bounds_the_whole_search(genus_checked):
     ]:
         genus_checked.clear()
         with pytest.raises(InconclusiveError, match=f"^node cap {cap} exceeded") as err:
-            is_realizable(load_pattern(name), 5, SearchConfig(node_cap=cap, fixed=fixed))
+            is_realizable(load_pattern(name), 5, fixed, node_cap=cap)
         assert err.value.nodes_explored == len(genus_checked) == cap + 1
         assert genus_checked[-1][0] == built
         if fixed is not None:
@@ -525,7 +560,7 @@ def test_certificate_checks_survive_python_O():
 def test_fixed_prefix_constrains_search():
     p = load_pattern("curves11")
     fixed = load_structure("u-placement")
-    r = min_genus(p, 5, SearchConfig(fixed=fixed))
+    r = min_genus(p, 5, fixed)
     # exhaustion-certified Exceeds: the pinned placement blocks the last curve
     assert r.kind == "exceeds" and r.exhausted and r.nodes_explored > 0
     # without the pin the same pattern fits within the budget
@@ -535,15 +570,27 @@ def test_fixed_prefix_constrains_search():
 
 def test_fixed_prefix_validation():
     """A pin is checked before any bound: one naming a curve the pattern
-    lacks is invalid even at a budget the homology bound already decides."""
+    lacks, or a partner its curve does not meet, is invalid even at a
+    budget the homology bound already decides."""
     p = load_pattern("curves11")
     fixed = load_structure("u-placement")
     stray = twistlat.RibbonStructure(
         fixed.visit_orders + (("zz", ()),), fixed.crossing_bits
     )
+    wrong_partner = twistlat.RibbonStructure(
+        (("a", ("c",)), ("b", ("a", "c")), ("c", ("b",))),
+        (("a", "b", 0), ("b", "c", 0)),
+    )
+    message = (
+        "fixed structure invalid on its sub-pattern: "
+        "curve 'a' visits ['c'], expected partners ['b']"
+    )
     for budget in (0, 5):
         with pytest.raises(InvalidInputError, match="unknown curves"):
-            min_genus(p, budget, SearchConfig(fixed=stray))
+            min_genus(p, budget, stray)
+        with pytest.raises(InvalidInputError) as err:
+            is_realizable(p, budget, wrong_partner)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", ["curves11", "curves12"])
@@ -552,11 +599,11 @@ def test_pin_above_budget_exceeds_without_search(name):
     its pin's: every budget up to 4 is `exceeds` with no node explored,
     whether the homology bound (4) or the pin's genus decides it."""
     p = load_pattern(name)
-    cfg = SearchConfig(fixed=load_structure("u-placement"))
+    pin = load_structure("u-placement")
     for budget in range(5):
-        for res in (min_genus(p, budget, cfg), is_realizable(p, budget, cfg)):
+        for res in (min_genus(p, budget, pin), is_realizable(p, budget, pin)):
             assert (res.kind, res.nodes_explored, res.exhausted) == ("exceeds", 0, True)
-    assert min_genus(p, 4, cfg).note == "pinned structure alone has genus 5"
+    assert min_genus(p, 4, pin).note == "pinned structure alone has genus 5"
 
 
 def test_pin_genus_reads_bits_in_pattern_order():
@@ -567,7 +614,7 @@ def test_pin_genus_reads_bits_in_pattern_order():
     p = make_pattern(list("bacd"), list(itertools.combinations("abcd", 2)))
     for r in enumerate_structures(p):
         g = surface_of(p, r).total_genus
-        res = is_realizable(p, g, SearchConfig(fixed=r))
+        res = is_realizable(p, g, r)
         assert (res.kind, res.genus) == ("realizable", g), r
 
 
@@ -583,7 +630,7 @@ def test_witness_round_trips_through_fixed_loader():
         p = random_pattern(rng, max_crossings=7)
         r = min_genus(p)
         assert r.witness is not None
-        pinned = min_genus(p, max(r.genus, 1), SearchConfig(fixed=r.witness))
+        pinned = min_genus(p, max(r.genus, 1), r.witness)
         assert (pinned.kind, pinned.genus) == ("exact", r.genus)
         assert pinned.witness.canonical() == r.witness.canonical()
         assert (
@@ -600,7 +647,7 @@ def test_witnesses_read_each_curve_in_its_smaller_direction():
     witnesses = [min_genus(random_pattern(rng)).witness for _ in range(40)]
     for name in ("chain7", "cycle8", "curves10", "curves11", "curves12"):
         witnesses.append(min_genus(load_pattern(name)).witness)
-    pin = SearchConfig(fixed=load_structure("u-placement"))
+    pin = load_structure("u-placement")
     for name in ("curves11", "curves12"):
         witnesses.append(is_realizable(load_pattern(name), 6, pin).witness)
     orders = [order for w in witnesses for _, order in w.visit_orders]
@@ -634,7 +681,7 @@ def test_fixed_prefix_matches_constrained_oracle():
     for cand in enumerate_structures(sub):
         fixed = cand
         break
-    res = min_genus(p, 9, SearchConfig(fixed=fixed))
+    res = min_genus(p, 9, fixed)
     best = None
     for r in enumerate_structures(p):
         rsub, rstruct = restrict(p, r, sub_labels)
@@ -653,7 +700,7 @@ def test_fixed_prefix_with_disconnected_pattern():
     from twistlat import enumerate_structures
 
     fixed = next(iter(enumerate_structures(sub)))
-    r = min_genus(p, 9, SearchConfig(fixed=fixed))
+    r = min_genus(p, 9, fixed)
     assert (r.kind, r.genus) == ("exact", 2)  # two one-holed tori
     assert surface_of(p, r.witness).total_genus == 2
 
