@@ -14,15 +14,16 @@ complete, so a crossing lies in the component of its partner among the
 curves inserted before, and the open strand joins the components of the
 partners it has met.  Each search node walks one face, the one at its
 strand's open end, once some partner lies in a component the strand has
-met; every child's genus change is read off that walk before the child is
-built, and its placement adds the change.  Only a strand's closure walks a
-face at the link itself: a pin is traced once by `ribbon.surface_of`, and
-the search starts at the pin's genus.  Since a sub-ribbon-graph's
-neighborhood embeds in any completion's neighborhood, the partial genus is
-a valid lower bound and branches exceeding the budget (or the best leaf so
-far) are pruned: a child whose genus change would take it past that cutoff
-is counted as a node but not built.  Every leaf within the budget is
-re-traced by `ribbon.surface_of`, which must agree.  "Exceeds" verdicts
+met; each partner's children have their genus changes read off that walk
+in one list before any is built, and a placement adds its change.  Only a
+strand's closure walks a face at the link itself: a pin is traced once by
+`ribbon.surface_of`, and the search starts at the pin's genus.  Since a
+sub-ribbon-graph's neighborhood embeds in any completion's neighborhood,
+the partial genus is a valid lower bound and branches exceeding the budget
+(or the best leaf so far) are pruned: a child whose genus change would take
+it past that cutoff is never built, and each run of such children is
+counted at once.  Every leaf within the budget is re-traced by
+`ribbon.surface_of`, which must agree.  "Exceeds" verdicts
 are issued only after the pruned tree is exhausted (or when the budget is
 already below the homology bound or the pinned structure's own genus);
 exact minima are certified early once some structure reaches the homology
@@ -202,9 +203,6 @@ class _Engine:
 
     # -- links and faces -----------------------------------------------------
 
-    def _dart(self, x: int, side: int, slot: int) -> int:
-        return 4 * x + 2 * side + slot
-
     def _attach(self, d1: int, d2: int) -> None:
         self.link[d1] = d2
         self.link[d2] = d1
@@ -239,18 +237,14 @@ class _Engine:
         ``d1`` to its first in-dart ``d2``, by one face walk at the link.
         A strand lies in one component and its crossings have links, so
         the closure raises the genus exactly when its corners lie on
-        different faces.  Only a strand's closure walks a face at the link
-        itself."""
+        different faces."""
         return int(self._corner(d2) not in self._face(d1))
 
     def _join(self, c: int, d1: int, d2: int, step: int) -> None:
         """Link the open out-dart ``d1`` of curve ``c`` to its next in-dart
         ``d2``, append the arc to ``c``'s arcs, and add ``step``, the link's
-        genus change, to the genus.  A placement's step is read off its
-        search node's face walk (`_genus_step`), a closure's off a walk at
-        the link itself (`_link_step`), and a pinned link adds none, the
-        pin's genus being traced before the search; `_join` walks no
-        face."""
+        genus change: a strand closure's (`_link_step`), or none for a pinned
+        link, the pin's genus being traced before the search."""
         self.genus += step
         self._attach(d1, d2)
         self.arcs[c].append((d1, d2))
@@ -260,79 +254,81 @@ class _Engine:
         restores."""
         self._detach(*self.arcs[c].pop())
 
-    def _new_crossing(self, ci: int, cj: int, bitv: int) -> int:
-        x = len(self.cross)
-        self.cross.append((min(ci, cj), max(ci, cj)))
-        self.link.extend((-1, -1, -1, -1))
-        self.row.append(16 * bitv)
-        return x
-
     # -- placements ----------------------------------------------------------
 
-    def _place_crossing(
-        self,
-        c: int,
-        partner: int,
-        gap: int,
-        bitv: int,
-        strand: list[int],
-        step: int,
-    ) -> None:
-        x = self._new_crossing(c, partner, bitv)
-        side_c = int(c > partner)
-        d0 = self._dart(x, 1 - side_c, 0)
-        d1 = self._dart(x, 1 - side_c, 1)
-        p_arcs = self.arcs[partner]
+    def _place_crossing(self, c, partner, gap, bitv, strand, step) -> None:
+        """Add the crossing of ``c`` and ``partner``, with bit ``bitv``, on
+        the partner's arc ``gap``, and link the strand's open out-dart to
+        it, adding ``step``, the genus change `_steps` read off the node's
+        one face walk.  Only built children are placed; a placement writes
+        `cross`, `link`, `row` and `arcs` directly and walks no face."""
+        link, row, p_arcs = self.link, self.row, self.arcs[partner]
+        x = len(link)  # the new crossing's first dart
+        s_in = 2 * (c > partner)  # c's in-dart is x + s_in, its out-dart next
+        d0 = x + 2 - s_in  # the partner's in-dart, its out-dart next
         if p_arcs:
             # subdividing an arc keeps the genus; d_a and d_b stay linked,
             # so only the new crossing's row changes
             d_a, d_b = p_arcs[gap]
-            self._attach(d_a, d0)
-            self._attach(d1, d_b)
-            p_arcs[gap : gap + 1] = ((d_a, d0), (d1, d_b))
+            link[d_a], link[d_b] = d0, d0 + 1
+            p_arcs[gap : gap + 1] = ((d_a, d0), (d0 + 1, d_b))
         else:
             # partner's first crossing: its closed curve becomes a loop arc,
             # which keeps the genus
-            self._attach(d1, d0)
-            p_arcs.append((d1, d0))
-        d_in = self._dart(x, side_c, 0)
+            d_a, d_b = d0 + 1, d0
+            p_arcs.append((d0 + 1, d0))
+        mask, out = 3 << (2 - s_in), -1
         if strand:
-            self._join(c, strand[-1], d_in, step)
-        strand.append(d_in ^ 1)
+            out = strand[-1]
+            link[out] = x + s_in
+            row[out >> 2] |= 1 << (out & 3)
+            mask |= 1 << s_in
+            self.genus += step
+            self.arcs[c].append((out, x + s_in))
+        link.extend((d_a, d_b, out, -1) if s_in else (out, -1, d_a, d_b))
+        row.append(16 * bitv | mask)
+        self.cross.append((partner, c) if s_in else (c, partner))
+        strand.append(x + s_in + 1)
 
-    def _unplace_crossing(
-        self, c: int, partner: int, gap: int, strand: list[int]
-    ) -> None:
+    def _unplace_crossing(self, c, partner, gap, strand) -> None:
         """Undo `_place_crossing` but for the genus, which the caller
         restores.  The new crossing is the last one, so popping it drops
-        its row and links; older crossings' rows never changed."""
+        its row and links; older crossings' rows change only at the
+        strand's out-dart."""
+        link = self.link
         strand.pop()
         if strand:
-            self._unjoin(c)
+            out = self.arcs[c].pop()[0]
+            link[out] = -1
+            self.row[out >> 2] &= ~(1 << (out & 3))
         p_arcs = self.arcs[partner]
         if len(p_arcs) == 1:
             p_arcs.pop()
         else:
             d_a, d_b = p_arcs[gap][0], p_arcs.pop(gap + 1)[1]
             p_arcs[gap] = (d_a, d_b)
-            self.link[d_a] = d_b
-            self.link[d_b] = d_a
+            link[d_a] = d_b
+            link[d_b] = d_a
         self.cross.pop()
         self.row.pop()
-        del self.link[-4:]
+        del link[-4:]
 
-    def _genus_step(self, c, q, gap, bitv, same, face) -> int:
-        """The genus change that `_place_crossing` (c, q, gap, bitv) adds.
-        Subdividing the arc (d_a, d_b) keeps every face, and the new
-        crossing's corner lies on the face of ``d_a`` or of ``d_b``, by its
-        bit and its side; so the one link raises the genus exactly when it is
-        within one component (``same``) and the corner is not on ``face``,
-        the node's one walk of the face at the strand's open end."""
-        if not same:
-            return 0
-        d_a, d_b = self.arcs[q][gap]
-        corner = d_a if (c > q) == (bitv == 0) else d_b
-        return 0 if corner in face else 1
+    def _steps(self, c: int, q: int, face: Optional[set[int]]) -> list[int]:
+        """The genus change, 0 or 1, of every child of partner ``q``, in the
+        order `_dfs_place` takes them: gap by gap, bit 0 first.  Subdividing
+        the arc (d_a, d_b) keeps every face, and the new corner lies on the
+        face of ``d_a`` or of ``d_b``, by its bit and side; so the link
+        raises the genus exactly when it is within one component and the
+        corner is not on ``face``, the node's one face walk.  ``face`` is
+        None when ``q``'s component has not been met: every change is 0."""
+        arcs = self.arcs[q]
+        if face is None:
+            # only the anchor crossing takes bit 0 alone; it is (q, c), as an
+            # unpinned search inserts in pattern order, and a strand's first
+            return [0] * (max(1, len(arcs)) * (1 + ((q, c) != self.anchor)))
+        if c < q:  # bit 0 puts the corner on d_b's face, bit 1 on d_a's
+            arcs = [(d_b, d_a) for d_a, d_b in arcs]
+        return [d not in face for arc in arcs for d in arc]
 
     # -- external structure extraction / loading -------------------------------
 
@@ -376,11 +372,13 @@ class _Engine:
         xid: dict[tuple[int, int], int] = {}
         for i, j in p.crossings():
             if i in curves and j in curves:
-                bitv = bit_map[tuple(sorted((p.curves[i], p.curves[j])))]
-                xid[(i, j)] = self._new_crossing(i, j, bitv)
+                xid[(i, j)] = len(self.cross)
+                self.cross.append((i, j))
+                self.link.extend((-1, -1, -1, -1))
+                self.row.append(16 * bit_map[tuple(sorted((p.curves[i], p.curves[j])))])
         for ci in curves:
             ins = [
-                self._dart(xid[(min(ci, pj), max(ci, pj))], int(ci > pj), 0)
+                4 * xid[(min(ci, pj), max(ci, pj))] + 2 * (ci > pj)
                 for pj in map(p.index, order_map[p.curves[ci]])
             ]
             for t, d in enumerate(ins):
@@ -396,11 +394,12 @@ class _Engine:
             return self.budget
         return min(self.budget, self.best_genus - 1)
 
-    def _stopped(self) -> bool:
-        return self.best_genus is not None and self.best_genus <= self.stop_genus
-
-    def _check_cap(self) -> None:
+    def _count(self, n: int) -> None:
+        """Count ``n`` nodes, one built node or a run of unbuilt children.
+        The walk stops at the first node past the cap, cutting a run there."""
+        self.nodes += n
         if self.node_cap is not None and self.nodes > self.node_cap:
+            self.nodes = self.node_cap + 1
             raise InconclusiveError(
                 f"node cap {self.node_cap} exceeded before exhaustion",
                 nodes_explored=self.nodes,
@@ -417,11 +416,6 @@ class _Engine:
         c, partners, filter_ok = step
         self._dfs_place(c, k, partners, [], None, filter_ok, 0)
 
-    def _bit_choices(self, c: int, q: int) -> tuple[int, ...]:
-        if (min(c, q), max(c, q)) == self.anchor:
-            return (0,)
-        return (0, 1)
-
     def _dfs_place(self, c, k, remaining, strand, q2, filter_ok, seen):
         """Place the strand's next crossing, to one of the ``remaining``
         partners; its first crossing goes to its lowest partner, which
@@ -429,16 +423,18 @@ class _Engine:
         ``seen`` is the bitmask of the components (`comp` names) its
         crossings lie in: a placement links within one component exactly
         when its partner's bit is set.  The face at the strand's open end
-        is walked once, at the first such partner, and every child's genus
-        change is read off that walk."""
+        is walked once, at the first such partner, and `_steps` reads the
+        genus changes of each partner's children off it in one list.  A
+        child past the cutoff is never built: each run of them is counted
+        by one `_count`, before the next built child or at the partner's
+        end, and a built child is counted once placed."""
         genus = self.genus
         if not remaining:
             # closure of the strand: link its last out-dart to its first
             # in-dart, one forced option
             d1, d2 = strand[-1], strand[0] ^ 1
             self._join(c, d1, d2, self._link_step(d1, d2))
-            self.nodes += 1
-            self._check_cap()
+            self._count(1)
             if self.genus <= self._cutoff():
                 self._dfs_curve(k + 1)
             self._unjoin(c)
@@ -447,35 +443,39 @@ class _Engine:
 
         comp = self.comp[k]
         face = None  # the face at the strand's open end, walked on demand
-        cutoff = self._cutoff()
+        room = self._cutoff() - genus  # the largest step a child may add
         for q in remaining if strand else remaining[:1]:
             if filter_ok and len(remaining) == 1 and q < q2:
                 continue  # this cyclic order is the reversal of one already done
-            same = seen >> comp[q] & 1
-            if same and face is None:
+            met = seen >> comp[q] & 1
+            if met and face is None:
                 face = self._face(strand[-1])
-            bits = self._bit_choices(c, q)
+            steps = self._steps(c, q, face if met else None)
+            bits = len(steps) // max(1, len(self.arcs[q]))
             rest = [r for r in remaining if r != q]
             nxt_q2 = q if len(strand) == 1 else q2
-            nxt_seen = seen | 1 << comp[q]
-            for gap in range(max(1, len(self.arcs[q]))):
-                for bitv in bits:
-                    step = self._genus_step(c, q, gap, bitv, same, face)
-                    if genus + step > cutoff:
-                        # pruned on creation: counted as a node, never built
-                        self.nodes += 1
-                        self._check_cap()
-                        continue
-                    self._place_crossing(c, q, gap, bitv, strand, step)
-                    self.nodes += 1
-                    self._check_cap()
-                    self._dfs_place(c, k, rest, strand, nxt_q2, filter_ok, nxt_seen)
-                    self._unplace_crossing(c, q, gap, strand)
-                    self.genus = genus
-                    if self._stopped():
+            pruned = 0
+            for i, step in enumerate(steps):
+                if step > room:
+                    pruned += 1
+                    continue
+                if pruned:
+                    self._count(pruned)
+                    pruned = 0
+                gap, bitv = divmod(i, bits)
+                self._place_crossing(c, q, gap, bitv, strand, step)
+                self._count(1)
+                self._dfs_place(c, k, rest, strand, nxt_q2, filter_ok, seen | 1 << comp[q])
+                self._unplace_crossing(c, q, gap, strand)
+                self.genus = genus
+                best = self.best_genus
+                if best is not None:
+                    if best <= self.stop_genus:
                         return
                     # a witness found under that child may have lowered it
-                    cutoff = self._cutoff()
+                    room = min(room, best - 1 - genus)
+            if pruned:
+                self._count(pruned)
 
     def _leaf(self) -> None:
         g = self.genus
@@ -601,7 +601,7 @@ def _search(
         eng = _Engine(sub, sub_budget, stop, fixed, node_cap, pin_genus)
         eng.run()
         total_nodes += eng.nodes
-        exhausted = not eng._stopped()
+        exhausted = eng.best_genus is None or eng.best_genus > stop
         exhausted_all = exhausted_all and exhausted
         if not (exhausted or realize):
             notes.append("reached the homology lower bound")

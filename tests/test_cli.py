@@ -168,6 +168,10 @@ def test_rep_export(capsys):
 
 
 def test_rep_check_relations(capsys):
+    # k = 2..5, the default sign being both
+    for k in ("2", "5"):
+        code, data = run_json(capsys, "rep", "check-relations", "--k", k)
+        assert (code, data["ok"]) == (0, True), k
     code, data = run_json(capsys, "rep", "check-relations", "--k", "3", "--sign", "both")
     assert code == 0 and data["ok"] is True
     code, data = run_json(capsys, "rep", "check-relations", "--k", "4", "--sign", "both")

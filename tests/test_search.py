@@ -150,59 +150,88 @@ def traced_partial_genus(eng):
 @pytest.fixture
 def genus_checked(monkeypatch):
     """Compares the genus of every counted node with the full trace, one
-    check per node, made when `_check_cap` runs right after the count.  A
-    built child is traced where it stands.  A child that is counted but not
-    built, because its predicted genus is past the cutoff, is built from its
-    parent when `_genus_step` predicts it, on the strand of the innermost
-    `_dfs_place`, traced against the parent's genus plus the prediction, and
-    undone.  Each check is (built, genus)."""
+    check per node, made when `_count` counts it.  When `_steps` predicts
+    a partner's children, each is built from its parent on the strand of
+    the innermost `_dfs_place`, traced against the parent's genus plus its
+    step, and undone.  A built node, a placed child or a strand closure, is
+    traced where it stands; a child counted without being built must be
+    the next predicted one, with a genus past the cutoff in force.  Every
+    predicted child is counted once, unless the search stops.  Each check
+    is (built, genus)."""
     from twistlat import search
 
     engine = search._Engine
-    check_cap, genus_step, dfs_place, place_crossing = (
-        engine._check_cap,
-        engine._genus_step,
+    count, steps_of, dfs_place, place_crossing = (
+        engine._count,
+        engine._steps,
         engine._dfs_place,
         engine._place_crossing,
     )
-    checks, unbuilt = [], []
-    strands = []  # the open strand of each `_dfs_place` call on the stack
+    checks = []
+    frames = []  # per `_dfs_place` call on the stack
+
+    def all_counted(self, frame):
+        stopped = self.best_genus is not None and self.best_genus <= self.stop_genus
+        if frame["next"] != len(frame["predicted"]) and not stopped:
+            raise AssertionError("a predicted child was not counted")
 
     def tracked_dfs_place(self, c, k, remaining, strand, *rest):
-        strands.append(strand)
-        dfs_place(self, c, k, remaining, strand, *rest)
-        strands.pop()
+        frame = {"strand": strand, "crossings": len(self.cross), "closing": not remaining}
+        frame.update(predicted=[], next=0)
+        frames.append(frame)
+        try:
+            dfs_place(self, c, k, remaining, strand, *rest)
+        finally:
+            frames.pop()
+        all_counted(self, frame)
 
-    def checked_genus_step(self, c, q, gap, bitv, same, face):
-        strand = strands[-1]
-        step = genus_step(self, c, q, gap, bitv, same, face)
-        tok, genus, expected = len(self.cross), self.genus, self.genus + step
-        place_crossing(self, c, q, gap, bitv, strand, step)
-        traced = traced_partial_genus(self)
-        self._unplace_crossing(c, q, gap, strand)
-        self.genus = genus
-        if traced != expected:
-            raise AssertionError(f"predicted genus {expected}, traced {traced}")
-        if expected > self._cutoff():
-            unbuilt.append((tok, traced))
-        return step
-
-    def checked_check_cap(self):
-        if unbuilt:
-            tok, traced = unbuilt.pop()
-            if len(self.cross) != tok:
-                raise AssertionError("a child predicted past the cutoff was built")
-            checks.append((False, traced))
-        else:
+    def checked_steps(self, c, q, face):
+        frame = frames[-1]
+        all_counted(self, frame)
+        steps = steps_of(self, c, q, face)
+        bits = (0,) if (min(c, q), max(c, q)) == self.anchor else (0, 1)
+        children = [(gap, bitv) for gap in range(max(1, len(self.arcs[q]))) for bitv in bits]
+        if len(steps) != len(children):
+            raise AssertionError(f"{len(steps)} steps for {len(children)} children")
+        genus, predicted = self.genus, []
+        for (gap, bitv), step in zip(children, steps):
+            place_crossing(self, c, q, gap, bitv, frame["strand"], step)
             traced = traced_partial_genus(self)
-            if self.genus != traced:
-                raise AssertionError(f"engine genus {self.genus}, traced {traced}")
-            checks.append((True, traced))
-        return check_cap(self)
+            self._unplace_crossing(c, q, gap, frame["strand"])
+            self.genus = genus
+            if traced != genus + step:
+                raise AssertionError(f"predicted genus {genus + step}, traced {traced}")
+            predicted.append(traced)
+        frame.update(predicted=predicted, next=0)
+        return steps
+
+    def checked_count(self, n):
+        frame, before = frames[-1], self.nodes
+        try:
+            count(self, n)
+        finally:
+            if frame["closing"] or len(self.cross) > frame["crossings"]:
+                traced = traced_partial_genus(self)
+                if n != 1 or self.genus != traced:
+                    raise AssertionError(f"engine genus {self.genus}, traced {traced}")
+                if not frame["closing"]:
+                    if frame["predicted"][frame["next"]] != traced:
+                        raise AssertionError("a child was built out of order")
+                    if traced > self._cutoff():
+                        raise AssertionError("a child past the cutoff was built")
+                    frame["next"] += 1
+                new = [(True, traced)]
+            else:
+                run = frame["predicted"][frame["next"] : frame["next"] + n]
+                if len(run) != n or min(run) <= self._cutoff():
+                    raise AssertionError("a child within the cutoff was not built")
+                frame["next"] += n
+                new = [(False, traced) for traced in run]
+            checks.extend(new[: self.nodes - before])
 
     monkeypatch.setattr(engine, "_dfs_place", tracked_dfs_place)
-    monkeypatch.setattr(engine, "_genus_step", checked_genus_step)
-    monkeypatch.setattr(engine, "_check_cap", checked_check_cap)
+    monkeypatch.setattr(engine, "_steps", checked_steps)
+    monkeypatch.setattr(engine, "_count", checked_count)
     return checks
 
 
@@ -522,6 +551,57 @@ def test_node_cap_bounds_the_whole_search(genus_checked):
         assert genus_checked[-1][0] == built
         if fixed is not None:
             assert genus_checked[-2][0]
+
+
+def test_search_builds_only_the_children_it_explores(monkeypatch):
+    """Children pruned on creation are counted but never built: the
+    pinned curves11 exhaustion and the curves12 minimum place the same
+    crossings, close the same strands, walk the same faces and trace the
+    same leaves as a search that builds only the children it explores."""
+    from twistlat import search
+
+    calls = {}
+
+    def counted(name):
+        method = getattr(search._Engine, name)
+
+        def wrapper(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+
+        monkeypatch.setattr(search._Engine, name, wrapper)
+
+    names = ("_place_crossing", "_link_step", "_face", "_leaf")
+    for name in names:
+        counted(name)
+    runs = [
+        (is_realizable, "curves11", 5, load_structure("u-placement"), 18_542),
+        (min_genus, "curves12", None, None, 171_040),
+    ]
+    seen = []
+    for search_fn, name, genus, fixed, nodes in runs:
+        calls.clear()
+        assert search_fn(load_pattern(name), genus, fixed).nodes_explored == nodes
+        seen.append(tuple(calls.get(name, 0) for name in names))
+    assert seen == [(3_912, 592, 2_674, 0), (23_952, 1_587, 19_219, 8)]
+
+
+def test_node_cap_holds_at_every_value():
+    """The search stops at the first node past any cap, built or not, with
+    ``nodes_explored == cap + 1``: every cap below the curves12 check's
+    1,407 nodes, and 40 seeded caps below the pinned curves11 exhaustion's
+    18,542; a cap of 1,407 returns the witness."""
+    p12, p11 = load_pattern("curves12"), load_pattern("curves11")
+    pin = load_structure("u-placement")
+    rng = random.Random(31)
+    runs = [(p12, None, cap) for cap in range(1_407)]
+    runs += [(p11, pin, cap) for cap in sorted(rng.sample(range(18_542), 40))]
+    for p, fixed, cap in runs:
+        with pytest.raises(InconclusiveError) as err:
+            is_realizable(p, 5, fixed, node_cap=cap)
+        assert err.value.nodes_explored == cap + 1, (p.curves[-1], cap)
+    r = is_realizable(p12, 5, node_cap=1_407)
+    assert (r.kind, r.genus, r.nodes_explored) == ("realizable", 5, 1_407)
 
 
 def test_certificate_checks_survive_python_O():
